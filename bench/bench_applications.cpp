@@ -12,7 +12,7 @@
 #include "nn/mlp.hpp"
 #include "nn/sparse_coding.hpp"
 #include "nn/threshold_logic.hpp"
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -70,7 +70,7 @@ int main() {
     ista.iterations = 60;
     ista.lambda = 0.02;
 
-    util::RunningStats err_cim, err_ref, support, nnz;
+    obs::StreamStat err_cim, err_ref, support, nnz;
     for (std::size_t i = 0; i < prob.signals.rows(); ++i) {
       const auto c = coder.encode(prob.signals.row(i), ista);
       const auto r = coder.encode_reference(prob.signals.row(i), ista);
@@ -81,10 +81,10 @@ int main() {
     }
     util::Table t({"metric", "value"});
     t.set_title("II.D.2 sparse coding — ISTA on crossbars (24-dim, 16 atoms, k=2)");
-    t.add_row({"reconstruction error (crossbar)", util::Table::num(err_cim.mean(), 3)});
-    t.add_row({"reconstruction error (float ref)", util::Table::num(err_ref.mean(), 3)});
-    t.add_row({"support recovery", util::Table::num(support.mean(), 2)});
-    t.add_row({"mean nonzeros", util::Table::num(nnz.mean(), 1)});
+    t.add_row({"reconstruction error (crossbar)", util::Table::num(err_cim.mean, 3)});
+    t.add_row({"reconstruction error (float ref)", util::Table::num(err_ref.mean, 3)});
+    t.add_row({"support recovery", util::Table::num(support.mean, 2)});
+    t.add_row({"mean nonzeros", util::Table::num(nnz.mean, 1)});
     t.add_row({"array energy (pJ/encode)",
                util::Table::num(coder.energy_pj() / double(prob.signals.rows()), 0)});
     t.print(std::cout);

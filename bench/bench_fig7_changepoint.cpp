@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "memtest/power_monitor.hpp"
+#include "obs/dataset.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -57,7 +58,7 @@ int main() {
       cfg.cycles = 1200;
       const auto run = memtest::run_monitored_workload(xbar, cfg, rng, &map, 600);
 
-      util::RunningStats pre, post;
+      obs::StreamStat pre, post;
       for (std::size_t i = 0; i < run.power_mw.size(); ++i)
         (i < 600 ? pre : post).add(run.power_mw[i]);
 
@@ -67,7 +68,7 @@ int main() {
            run.alarm_cycle ? std::to_string(*run.alarm_cycle - 600) : "-",
            run.located_changepoint ? std::to_string(*run.located_changepoint)
                                    : "none",
-           util::Table::num((post.mean() - pre.mean()) / pre.mean(), 4)});
+           util::Table::num((post.mean - pre.mean) / pre.mean, 4)});
     }
     t.print(std::cout);
   }

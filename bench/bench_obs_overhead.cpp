@@ -8,15 +8,20 @@
 /// instrumentation-dense hot path: write_bit, vmm, cache maintenance).
 ///
 /// Measuring a sub-2% effect directly is noise-bound, so the per-site cost
-/// is measured by amplification: the workload runs once as-is (t_base) and
-/// once with K extra *disabled* telemetry sites executed per operation
-/// (t_amp). (t_amp - t_base) / total_extra_sites bounds the per-site
-/// disabled cost; multiplying by the real site count per op and dividing
-/// by the per-op time gives the overhead fraction the gate checks.
+/// is measured by amplification: the workload runs as-is (A) and with K
+/// extra *disabled* telemetry sites executed per operation (B), in
+/// interleaved A/B pairs whose order flips every pair. The paired
+/// difference B - A per extra site bounds the per-site disabled cost;
+/// multiplying by the real site count per op and dividing by the per-op
+/// time gives the overhead fraction the gate checks. The gate reports the
+/// median difference with its Q1..Q3 spread as measured (negative values
+/// included) and is INCONCLUSIVE, not PASS, when that spread does not lie
+/// above zero.
 ///
 /// Exit code is non-zero if the gate fails. Enabled-mode (CIM_OBS=metrics)
 /// time is also reported, informationally — that mode buys data with time.
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -34,12 +39,15 @@ namespace {
 constexpr std::size_t kArray = 256;
 constexpr int kIters = 240;
 constexpr int kWritesPerIter = 4;
-/// Extra disabled span+counter sites executed per VMM in the amplified run.
-constexpr int kAmplify = 64;
+/// Extra disabled span+counter sites executed per VMM in the amplified run:
+/// enough (~15.7M in total, tens of ms at ~1-3 ns each) that the paired
+/// difference stands clear of the run-to-run noise of the ~10 ms workload.
+constexpr int kAmplify = 65536;
 /// Instrumented sites a real iteration passes (spans + counter mirrors +
 /// attribute calls on the write/vmm path), a deliberate overestimate.
 constexpr double kRealSitesPerIter = 4.0 * (kWritesPerIter + 1);
 constexpr double kGateFraction = 0.02;
+constexpr std::size_t kPairs = 9;
 
 crossbar::Crossbar make_xbar() {
   crossbar::CrossbarConfig cfg;
@@ -90,10 +98,6 @@ double run_workload(bool amplify) {
   return ms;
 }
 
-double median_of_three(double a, double b, double c) {
-  return std::max(std::min(a, b), std::min(std::max(a, b), c));
-}
-
 }  // namespace
 
 int main() {
@@ -103,20 +107,14 @@ int main() {
   obs::set_mode(obs::Mode::kOff);
 
   run_workload(false);  // warm-up: caches, page faults, lazy init
-  const double t_base =
-      median_of_three(run_workload(false), run_workload(false),
-                      run_workload(false));
-  const double t_amp =
-      median_of_three(run_workload(true), run_workload(true),
-                      run_workload(true));
-
-  const double total_extra_sites =
-      static_cast<double>(kAmplify) * static_cast<double>(kIters);
-  const double per_site_ms = std::max(0.0, t_amp - t_base) / total_extra_sites;
-  const double per_iter_ms = t_base / static_cast<double>(kIters);
-  const double overhead_frac =
-      per_iter_ms > 0.0 ? kRealSitesPerIter * per_site_ms / per_iter_ms : 0.0;
-  const bool gate_pass = overhead_frac < kGateFraction;
+  const auto gate = bench::judge_overhead(
+      bench::paired_ab_ms(
+          kPairs, [] { return run_workload(false); },
+          [] { return run_workload(true); }),
+      static_cast<double>(kAmplify) * kIters, kRealSitesPerIter * kIters,
+      kGateFraction);
+  const double per_site_ns =
+      gate.diff.median_ms * 1e6 / (static_cast<double>(kAmplify) * kIters);
 
   // Informational: what enabled metrics mode costs on the same workload.
   obs::set_mode(obs::Mode::kMetrics);
@@ -127,25 +125,33 @@ int main() {
   util::Table t({"quantity", "value"});
   t.set_title("Disabled-telemetry overhead (amplified estimate, 256x256 "
               "interleave)");
-  t.add_row({"baseline (ms)", util::Table::num(t_base, 2)});
-  t.add_row({"amplified +" + std::to_string(kAmplify) + " sites/iter (ms)",
-             util::Table::num(t_amp, 2)});
-  t.add_row({"per-site cost (ns)", util::Table::num(per_site_ms * 1e6, 2)});
+  t.add_row({"baseline median (ms)", util::Table::num(gate.diff.a_median_ms, 2)});
+  t.add_row({"amplified - baseline, +" + std::to_string(kAmplify) +
+                 " sites/iter (ms, median of " + std::to_string(kPairs) +
+                 " pairs)",
+             util::Table::num(gate.diff.median_ms, 3)});
+  t.add_row({"  Q1 .. Q3 (ms)", util::Table::num(gate.diff.q1_ms, 3) + " .. " +
+                                    util::Table::num(gate.diff.q3_ms, 3)});
+  t.add_row({"per-site cost (ns)", util::Table::num(per_site_ns, 2)});
   t.add_row({"real sites per iter", util::Table::num(kRealSitesPerIter, 0)});
   t.add_row({"estimated overhead (%)",
-             util::Table::num(overhead_frac * 100.0, 3)});
+             util::Table::num(gate.frac_median * 100.0, 3) + " [" +
+                 util::Table::num(gate.frac_q1 * 100.0, 3) + " .. " +
+                 util::Table::num(gate.frac_q3 * 100.0, 3) + "]"});
   t.add_row({"CIM_OBS=metrics run (ms)", util::Table::num(t_metrics, 2)});
   t.print(std::cout);
 
-  std::cout << (gate_pass
-                    ? "obs overhead gate: PASS — disabled telemetry < 2%\n"
-                    : "obs overhead gate: FAIL — disabled telemetry >= 2%\n");
+  std::cout << "obs overhead gate: " << bench::verdict_name(gate.verdict)
+            << " — disabled telemetry costs "
+            << util::Table::num(gate.frac_median * 100.0, 3)
+            << "% (need Q1..Q3 above 0 and under 2%)\n";
 
   const double ops = static_cast<double>(kIters) * (kWritesPerIter + 1);
   bench::report("bench_obs_overhead", total.elapsed_ms(), ops,
-                {{"overhead_pct", overhead_frac * 100.0},
-                 {"per_site_ns", per_site_ms * 1e6},
+                {{"overhead_pct", gate.frac_median * 100.0},
+                 {"per_site_ns", per_site_ns},
                  {"metrics_mode_ms", t_metrics},
-                 {"gate_pass", gate_pass ? 1.0 : 0.0}});
-  return gate_pass ? 0 : 1;
+                 {"gate_pass",
+                  gate.verdict == bench::GateVerdict::kPass ? 1.0 : 0.0}});
+  return gate.verdict == bench::GateVerdict::kFail ? 1 : 0;
 }

@@ -12,7 +12,7 @@
 #include "memtest/online_voltage_test.hpp"
 #include "memtest/scouting_test.hpp"
 #include "memtest/xabft.hpp"
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -25,7 +25,7 @@ int main() {
                    "cell writes", "time (us)"});
     t.set_title("Voltage-comparison on-line SAF test [38] (16x16, 16 levels)");
     for (const std::size_t n_faults : {2u, 6u, 12u, 24u}) {
-      util::RunningStats recall, precision, meas, writes, time_us;
+      obs::StreamStat recall, precision, meas, writes, time_us;
       for (std::uint64_t seed : {3ull, 7ull, 11ull}) {
         crossbar::CrossbarConfig cfg;
         cfg.rows = cfg.cols = 16;
@@ -52,11 +52,11 @@ int main() {
         writes.add(static_cast<double>(res.cell_writes));
         time_us.add(res.time_ns / 1e3);
       }
-      t.add_row({std::to_string(n_faults), util::Table::num(recall.mean(), 3),
-                 util::Table::num(precision.mean(), 3),
-                 util::Table::num(meas.mean(), 0),
-                 util::Table::num(writes.mean(), 0),
-                 util::Table::num(time_us.mean(), 1)});
+      t.add_row({std::to_string(n_faults), util::Table::num(recall.mean, 3),
+                 util::Table::num(precision.mean, 3),
+                 util::Table::num(meas.mean, 0),
+                 util::Table::num(writes.mean, 0),
+                 util::Table::num(time_us.mean, 1)});
     }
     t.print(std::cout);
   }
@@ -67,7 +67,7 @@ int main() {
                    "scrub located", "soft fixes OK", "hard flagged"});
     t.set_title("X-ABFT checksum protection [49,50] (8x8 level matrices)");
     for (const std::size_t n_faults : {1u, 2u, 4u}) {
-      util::RunningStats detect, located, fixed, hard;
+      obs::StreamStat detect, located, fixed, hard;
       for (std::uint64_t seed : {5ull, 9ull, 13ull, 17ull}) {
         util::Rng rng(seed);
         util::Matrix lv(8, 8);
@@ -104,10 +104,10 @@ int main() {
         fixed.add(static_cast<double>(ok));
         hard.add(static_cast<double>(bad));
       }
-      t.add_row({std::to_string(n_faults), util::Table::num(detect.mean(), 2),
-                 util::Table::num(located.mean(), 2),
-                 util::Table::num(fixed.mean(), 1),
-                 util::Table::num(hard.mean(), 1)});
+      t.add_row({std::to_string(n_faults), util::Table::num(detect.mean, 2),
+                 util::Table::num(located.mean, 2),
+                 util::Table::num(fixed.mean, 1),
+                 util::Table::num(hard.mean, 1)});
     }
     t.print(std::cout);
   }
@@ -135,7 +135,7 @@ int main() {
                    "time (us)"});
     t.set_title("Scouting-logic test (Fieback et al. [40]) — 16x16 array");
     for (const std::size_t stride : {1u, 2u, 4u}) {
-      util::RunningStats cov, checks, time_us;
+      obs::StreamStat cov, checks, time_us;
       for (std::uint64_t seed : {3ull, 9ull, 15ull}) {
         crossbar::CrossbarConfig cfg;
         cfg.rows = cfg.cols = 16;
@@ -154,9 +154,9 @@ int main() {
         checks.add(static_cast<double>(res.checks));
         time_us.add(res.time_ns / 1e3);
       }
-      t.add_row({std::to_string(stride), util::Table::num(checks.mean(), 0),
-                 util::Table::num(cov.mean(), 3),
-                 util::Table::num(time_us.mean(), 1)});
+      t.add_row({std::to_string(stride), util::Table::num(checks.mean, 0),
+                 util::Table::num(cov.mean, 3),
+                 util::Table::num(time_us.mean, 1)});
     }
     t.print(std::cout);
   }

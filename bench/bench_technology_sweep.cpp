@@ -22,7 +22,7 @@
 #include "crossbar/crossbar.hpp"
 #include "exp/campaign.hpp"
 #include "memtest/march.hpp"
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -132,11 +132,11 @@ int main() {
     std::vector<double> v(32, xbar.tech().v_read);
     const auto meas = xbar.vmm(v);
     const auto ideal = xbar.ideal_vmm(v);
-    util::RunningStats err;
+    obs::StreamStat err;
     for (std::size_t c = 0; c < meas.size(); ++c)
       if (std::abs(ideal[c]) > 1.0)
         err.add(std::abs(meas[c] - ideal[c]) / std::abs(ideal[c]));
-    return err.count() > 0 ? err.mean() : 0.0;
+    return err.count() > 0 ? err.mean : 0.0;
   };
   const auto res = exp::run_campaign(ccfg, trial);
 

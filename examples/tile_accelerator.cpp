@@ -2,7 +2,7 @@
 /// \brief The `core` public API end to end: quantize a trained network,
 ///        partition it across CIM tiles, run digital-in/digital-out
 ///        inference through the full DAC -> crossbar -> ADC -> shift-add
-///        path, and inspect the controller's instruction trace.
+///        path, and inspect one tile's cycle/time/energy accounting.
 #include <iostream>
 
 #include "core/quantized_mlp.hpp"
@@ -48,7 +48,7 @@ int main() {
   t.add_row({"total area (um^2)", util::Table::num(totals.area_um2, 0)});
   t.print(std::cout);
 
-  // 4. Peek at a single tile's controller trace.
+  // 4. One tile's execution statistics for a single 4-bit VMM.
   core::CimTileConfig tcfg;
   tcfg.tile.rows = 16;
   tcfg.tile.cols = 8;
@@ -59,7 +59,17 @@ int main() {
   tile.program_weights(w);
   std::vector<std::uint32_t> x(16, 5);
   (void)tile.vmm_int(x, 4);
+  const core::CimTileStats& st = tile.stats();
+  util::Table ts({"tile stat", "value"});
+  ts.set_title("single tile — one 4-bit vmm_int");
+  ts.add_row({"bit-serial cycles", std::to_string(st.cycles)});
+  ts.add_row({"time (ns)", util::Table::num(st.time_ns, 2)});
+  ts.add_row({"energy (pJ)", util::Table::num(st.energy_pj, 3)});
+  ts.add_row({"  array (pJ)", util::Table::num(st.array_energy_pj, 3)});
+  ts.add_row({"  ADC (pJ)", util::Table::num(st.adc_energy_pj, 3)});
+  ts.add_row({"  DAC (pJ)", util::Table::num(st.dac_energy_pj, 3)});
+  ts.add_row({"  digital (pJ)", util::Table::num(st.digital_energy_pj, 3)});
   std::cout << "\n";
-  tile.trace().print(std::cout, 8);
+  ts.print(std::cout);
   return 0;
 }

@@ -16,13 +16,11 @@ benches carry ms-scale constant offsets between container instances
 (loader, page cache) that the relative threshold misreads as
 regressions.
 
-Runs from different PRs execute on different container instances whose
-raw speed drifts far more than the gate threshold, so wall times are
-host-speed normalized first: the median wall ratio across shared benches
-estimates the hosts' relative speed, and each bench is gated against the
-median-adjusted baseline. A uniform slowdown therefore passes while a
-bench that regressed *relative to the rest of the suite* still fails.
-RSS is not normalized (memory does not drift with CPU speed).
+Only like-for-like runs are compared: when a shared bench differs between
+the two files in `threads`, `simd_isa` or `build_type`, the tool refuses
+the pair (exit 2, naming the field) instead of guessing a correction —
+such runs time different programs, and no scalar host-speed factor makes
+them comparable.
 
 A PR that deliberately changes what a bench measures declares it in
 WAIVERS below; the waiver only applies to the exact PR that declared it,
@@ -33,7 +31,8 @@ Usage:
 
 With no argument the newest BENCH_PR<N>.json in the history dir (default:
 repo root) is the current run. Exit status: 0 = no regression (or nothing
-to compare against), 1 = regression, 2 = usage/parse error.
+to compare against), 1 = regression, 2 = usage/parse error or runs that
+are not like for like.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ WALL_REGRESSION_FRAC = 0.15
 RSS_REGRESSION_FRAC = 0.10
 WALL_NOISE_FLOOR_MS = 1.0
 WALL_ABS_SLACK_MS = 1.0
-# Host-speed normalization needs enough shared benches for the median
-# ratio to be a speed estimate rather than one bench's behaviour.
-MIN_BENCHES_FOR_SPEED_NORM = 5
+# Run fields that must match for two runs of a bench to be compared.
+LIKE_FOR_LIKE_FIELDS = ("threads", "simd_isa", "build_type")
 
 # Deliberate scope changes: bench -> (PR number, reason). The wall gate is
 # skipped for that bench only when the *current* file is that PR's run.
@@ -159,25 +157,17 @@ def main() -> int:
         except (KeyError, TypeError, ValueError) as e:
             sys.exit(f"error: bench '{name}' has malformed wall_ms/peak_rss_mb: {e}")
 
-    # Relative host speed: median wall ratio over shared benches that are
-    # above the noise floor in both runs (waived benches excluded — their
-    # ratio reflects a scope change, not the host).
-    cur_pr = pr_number(cur_path)
-    ratios = []
     for name in shared:
-        cw, pw, _, _ = walls(name)
-        waived = name in WAIVERS and WAIVERS[name][0] == cur_pr
-        if not waived and min(cw, pw) >= WALL_NOISE_FLOOR_MS:
-            ratios.append(cw / pw)
-    host_speed = 1.0
-    if len(ratios) >= MIN_BENCHES_FOR_SPEED_NORM:
-        ratios.sort()
-        mid = len(ratios) // 2
-        host_speed = (ratios[mid] if len(ratios) % 2
-                      else 0.5 * (ratios[mid - 1] + ratios[mid]))
-        if abs(host_speed - 1.0) > 0.02:
-            print(f"  host-speed normalization: median wall ratio "
-                  f"{host_speed:.3f} ({len(ratios)} benches)")
+        for field in LIKE_FOR_LIKE_FIELDS:
+            p_val, c_val = prev[name].get(field), cur[name].get(field)
+            if p_val != c_val:
+                print(f"error: not like for like: bench '{name}' has "
+                      f"{field}={p_val!r} in {prev_path.name} but "
+                      f"{field}={c_val!r} in {cur_path.name}; refusing to "
+                      "compare", file=sys.stderr)
+                return 2
+
+    cur_pr = pr_number(cur_path)
 
     regressions: list[str] = []
     for name in shared:
@@ -186,11 +176,9 @@ def main() -> int:
         if name in WAIVERS and WAIVERS[name][0] == cur_pr:
             print(f"  waived (PR {cur_pr}) {name}: {WAIVERS[name][1]}")
         elif max(cw, pw) >= WALL_NOISE_FLOOR_MS and pw > 0.0:
-            pw_adj = pw * host_speed
-            dw = (cw - pw_adj) / pw_adj
-            if dw > WALL_REGRESSION_FRAC and cw - pw_adj > WALL_ABS_SLACK_MS:
-                notes.append(f"wall_ms {pw:.2f} -> {cw:.2f} "
-                             f"(+{100*dw:.1f}% host-adjusted)")
+            dw = (cw - pw) / pw
+            if dw > WALL_REGRESSION_FRAC and cw - pw > WALL_ABS_SLACK_MS:
+                notes.append(f"wall_ms {pw:.2f} -> {cw:.2f} (+{100*dw:.1f}%)")
         if pr > 0.0:
             dr = (cr - pr) / pr
             if dr > RSS_REGRESSION_FRAC:

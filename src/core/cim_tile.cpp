@@ -69,7 +69,6 @@ void CimTile::program_weights(const util::Matrix& w_int) {
   }
   plus_->program_conductances(g_plus);
   minus_->program_conductances(g_minus);
-  trace_.record({OpKind::kProgramCell, 0, cycle_, 0.0, 0.0});
 }
 
 double CimTile::decode_level_sum(double current_ua,
@@ -147,7 +146,6 @@ std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
     stats_.dac_energy_pj += e_dac;
     stats_.digital_energy_pj += e_dig;
     ++stats_.cycles;
-    ++cycle_;
     if (obs::enabled()) {
       // Periphery attribution per bit-serial cycle; the crossbars already
       // attributed e_array to kArray inside charge().
@@ -158,10 +156,6 @@ std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
       span.add_sim_time_ns(t_cycle);
       span.add_energy_pj(e_array + e_adc + e_dac + e_dig);
     }
-    trace_.record({OpKind::kRowActivate, 0, cycle_, tech.t_read_ns, e_dac});
-    trace_.record({OpKind::kSenseColumns, 0, cycle_,
-                   t_cycle - tech.t_read_ns, e_adc});
-    trace_.record({OpKind::kShiftAdd, 0, cycle_, 0.0, e_dig});
   }
 
   ++stats_.vmm_ops;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 
 namespace cim::memtest {
 
@@ -77,15 +77,15 @@ PowerFeatures extract_features(const std::vector<double>& power,
   if (power.empty()) return f;
   changepoint = std::min(changepoint, power.size() - 1);
 
-  util::RunningStats pre, post;
+  obs::StreamStat pre, post;
   for (std::size_t i = 0; i < power.size(); ++i)
     (i < changepoint ? pre : post).add(power[i]);
   if (post.count() == 0) return f;
 
-  f.post_mean = post.mean();
+  f.post_mean = post.mean;
   f.post_stddev = post.stddev();
-  f.post_max = post.max();
-  f.delta_mean = post.mean() - pre.mean();
+  f.post_max = post.max;
+  f.delta_mean = post.mean - pre.mean;
   f.delta_stddev = post.stddev() - pre.stddev();
   const double noise = pre.stddev();
   f.relative_shift = noise > 0.0 ? f.delta_mean / noise : 0.0;

@@ -151,6 +151,17 @@ bool parse_snapshot_json(std::string_view text, Snapshot& out,
       if (h.data.counts.size() != h.data.bounds.size() + 1)
         throw std::runtime_error("histogram '" + name +
                                  "': counts/bounds size mismatch");
+      // The registry sorts bounds on registration, so unsorted or repeated
+      // bounds would silently re-bucket the counts; reject them instead.
+      for (std::size_t i = 1; i < h.data.bounds.size(); ++i)
+        if (!(h.data.bounds[i - 1] < h.data.bounds[i]))
+          throw std::runtime_error("histogram '" + name +
+                                   "': bounds not strictly increasing");
+      std::uint64_t in_buckets = 0;
+      for (const std::uint64_t c : h.data.counts) in_buckets += c;
+      if (in_buckets != h.data.count)
+        throw std::runtime_error("histogram '" + name +
+                                 "': counts do not sum to count");
       s.histograms.push_back(std::move(h));
     }
     for (const auto& [name, v] : doc.at("spans").as_object()) {

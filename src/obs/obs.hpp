@@ -156,17 +156,21 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
+/// The bucket rule every fixed-bucket histogram shares (obs::Histogram and
+/// obs::WindowedHistogram): `bounds`, sorted ascending, are inclusive upper
+/// bounds, so bucket i covers (bounds[i-1], bounds[i]] — a value exactly
+/// equal to an upper bound lands in the bucket that bound closes, never in
+/// the next one. Values above bounds.back() and NaN (which compares false
+/// against every bound) land in the overflow bucket, index bounds.size().
+/// These are the closed-upper-bound semantics the Prometheus exporter's
+/// cumulative `le` buckets assume (tested by
+/// tests/obs/test_histogram_bounds.cpp).
+std::size_t bucket_index(std::span<const double> bounds, double v) noexcept;
+
 /// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the first
-/// N buckets; one implicit overflow bucket catches the rest.
-///
-/// Boundary semantics (tested by tests/obs/test_histogram_bounds.cpp):
-/// bucket i covers (bounds[i-1], bounds[i]] — a value exactly equal to an
-/// upper bound lands in the bucket that bound closes, never in the next
-/// one, and every observation lands in exactly one bucket, so the bucket
-/// counts always sum to `count`. Values above bounds.back() (and NaN,
-/// which compares false against every bound) land in the overflow bucket.
-/// These are the same closed-upper-bound semantics the Prometheus
-/// exporter's cumulative `le` buckets assume.
+/// N buckets; one implicit overflow bucket catches the rest. Observations
+/// are filed by bucket_index(), so every observation lands in exactly one
+/// bucket and the bucket counts always sum to `count`.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);

@@ -80,12 +80,16 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   counts_ = std::vector<Counter>(bounds_.size() + 1);
 }
 
+std::size_t bucket_index(std::span<const double> bounds, double v) noexcept {
+  // NaN compares false against every bound, which the search would file
+  // under bucket 0; the documented semantics put it in overflow.
+  if (std::isnan(v)) return bounds.size();
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
 void Histogram::observe(double v) noexcept {
-  // NaN compares false against every bound, which the search loop would
-  // file under bucket 0; the documented semantics put it in overflow.
-  std::size_t b = std::isnan(v) ? bounds_.size() : 0;
-  while (b < bounds_.size() && v > bounds_[b]) ++b;
-  counts_[b].add(1);
+  counts_[bucket_index(bounds_, v)].add(1);
   count_.add(1);
   sum_.add(v);
 }

@@ -6,106 +6,40 @@
 
 namespace cim::obs {
 
+// --- WindowedCounter ---------------------------------------------------------
+
+WindowedCounter::WindowedCounter(double window_ns, std::size_t ring_windows)
+    : ring_("WindowedCounter", window_ns, ring_windows) {}
+
 namespace {
 
-std::uint64_t index_of(double t_ns, double window_ns) {
-  if (!(t_ns > 0.0)) return 0;  // negatives and NaN clamp to window 0
-  return static_cast<std::uint64_t>(std::floor(t_ns / window_ns));
+/// Adapts a WindowCount callback to the ring's (index, payload) close.
+auto count_closer(const WindowedCounter::CloseFn& on_close, double window_ns) {
+  return [&on_close, window_ns](std::uint64_t index, std::uint64_t count) {
+    if (on_close)
+      on_close({index, static_cast<double>(index) * window_ns, count});
+  };
 }
 
 }  // namespace
 
-// --- WindowedCounter ---------------------------------------------------------
-
-WindowedCounter::WindowedCounter(double window_ns, std::size_t ring_windows)
-    : window_ns_(window_ns) {
-  if (!(window_ns > 0.0))
-    throw std::invalid_argument("WindowedCounter: window_ns must be > 0");
-  if (ring_windows == 0)
-    throw std::invalid_argument("WindowedCounter: ring_windows must be >= 1");
-  ring_.resize(ring_windows);
-}
-
-std::uint64_t WindowedCounter::window_index(double t_ns) const {
-  return index_of(t_ns, window_ns_);
-}
-
-void WindowedCounter::close_slot(Slot& s, const CloseFn& on_close) {
-  if (on_close) {
-    WindowCount w;
-    w.index = s.index;
-    w.start_ns = static_cast<double>(s.index) * window_ns_;
-    w.count = s.count;
-    on_close(w);
-  }
-  s.live = false;
-  s.count = 0;
-}
-
-void WindowedCounter::advance_to(std::uint64_t idx, const CloseFn& on_close) {
-  const std::size_t R = ring_.size();
-  const std::uint64_t keep_from = idx >= R - 1 ? idx - (R - 1) : 0;
-  // Evict every live window that falls off the ring, oldest first, so the
-  // close callback sees an in-order exactly-once stream.
-  std::vector<Slot*> evict;
-  for (Slot& s : ring_)
-    if (s.live && s.index < keep_from) evict.push_back(&s);
-  std::sort(evict.begin(), evict.end(),
-            [](const Slot* a, const Slot* b) { return a->index < b->index; });
-  for (Slot* s : evict) close_slot(*s, on_close);
-  newest_ = idx;
-}
-
 void WindowedCounter::add(double t_ns, std::uint64_t v,
                           const CloseFn& on_close) {
-  add_at_index(window_index(t_ns), v, on_close);
-}
-
-void WindowedCounter::add_at_index(std::uint64_t idx, std::uint64_t v,
-                                   const CloseFn& on_close) {
-  total_ += v;
-  if (!any_) {
-    any_ = true;
-    newest_ = idx;
-  } else if (idx > newest_) {
-    advance_to(idx, on_close);
-  } else if (newest_ >= ring_.size() &&
-             idx < newest_ - (ring_.size() - 1)) {
-    late_dropped_ += v;  // window already evicted; never resurrect it
-    return;
-  }
-  Slot& s = ring_[idx % ring_.size()];
-  if (!s.live) {
-    s.live = true;
-    s.index = idx;
-    s.count = 0;
-  }
-  s.count += v;
+  if (std::uint64_t* count = ring_.admit(
+          window_index(t_ns), v, count_closer(on_close, window_ns())))
+    *count += v;
 }
 
 void WindowedCounter::finalize(const CloseFn& on_close) {
-  std::vector<Slot*> live;
-  for (Slot& s : ring_)
-    if (s.live) live.push_back(&s);
-  std::sort(live.begin(), live.end(),
-            [](const Slot* a, const Slot* b) { return a->index < b->index; });
-  for (Slot* s : live) close_slot(*s, on_close);
-  any_ = false;
-  newest_ = 0;
+  ring_.finalize(count_closer(on_close, window_ns()));
 }
 
 void WindowedCounter::merge(const WindowedCounter& other,
                             const CloseFn& on_close) {
-  if (other.window_ns_ != window_ns_ || other.ring_.size() != ring_.size())
-    throw std::invalid_argument("WindowedCounter::merge: shape mismatch");
-  std::vector<const Slot*> live;
-  for (const Slot& s : other.ring_)
-    if (s.live) live.push_back(&s);
-  std::sort(live.begin(), live.end(),
-            [](const Slot* a, const Slot* b) { return a->index < b->index; });
-  for (const Slot* s : live) add_at_index(s->index, s->count, on_close);
-  late_dropped_ += other.late_dropped_;
-  total_ += other.late_dropped_;
+  ring_.merge(
+      other.ring_, [](std::uint64_t count) { return count; },
+      [](std::uint64_t& dst, std::uint64_t src) { dst += src; },
+      count_closer(on_close, window_ns()));
 }
 
 // --- WindowedHistogram -------------------------------------------------------
@@ -113,138 +47,61 @@ void WindowedCounter::merge(const WindowedCounter& other,
 WindowedHistogram::WindowedHistogram(double window_ns,
                                      std::span<const double> bounds,
                                      std::size_t ring_windows)
-    : window_ns_(window_ns), bounds_(bounds.begin(), bounds.end()) {
-  if (!(window_ns > 0.0))
-    throw std::invalid_argument("WindowedHistogram: window_ns must be > 0");
-  if (ring_windows == 0)
-    throw std::invalid_argument("WindowedHistogram: ring_windows must be >= 1");
+    : bounds_(bounds.begin(), bounds.end()),
+      ring_("WindowedHistogram", window_ns, ring_windows,
+            Buckets{std::vector<std::uint64_t>(bounds.size() + 1, 0), 0, 0.0}) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end()))
     throw std::invalid_argument("WindowedHistogram: bounds must be sorted");
-  ring_.resize(ring_windows);
 }
 
-std::uint64_t WindowedHistogram::window_index(double t_ns) const {
-  return index_of(t_ns, window_ns_);
-}
+namespace {
 
-void WindowedHistogram::close_slot(Slot& s, const CloseFn& on_close) {
-  if (on_close) {
+/// Adapts a WindowHistogramSnap callback to the ring's close.
+template <class Buckets>
+auto hist_closer(const WindowedHistogram::CloseFn& on_close,
+                 const WindowedHistogram& h) {
+  return [&on_close, &h](std::uint64_t index, const Buckets& b) {
+    if (!on_close) return;
     WindowHistogramSnap w;
-    w.index = s.index;
-    w.start_ns = static_cast<double>(s.index) * window_ns_;
-    w.hist.bounds = bounds_;
-    w.hist.counts = s.counts;
-    w.hist.count = s.count;
-    w.hist.sum = s.sum;
+    w.index = index;
+    w.start_ns = static_cast<double>(index) * h.window_ns();
+    w.hist.bounds = h.bounds();
+    w.hist.counts = b.counts;
+    w.hist.count = b.count;
+    w.hist.sum = b.sum;
     on_close(w);
-  }
-  s.live = false;
-  std::fill(s.counts.begin(), s.counts.end(), 0);
-  s.count = 0;
-  s.sum = 0.0;
+  };
 }
 
-void WindowedHistogram::advance_to(std::uint64_t idx, const CloseFn& on_close) {
-  const std::size_t R = ring_.size();
-  const std::uint64_t keep_from = idx >= R - 1 ? idx - (R - 1) : 0;
-  std::vector<Slot*> evict;
-  for (Slot& s : ring_)
-    if (s.live && s.index < keep_from) evict.push_back(&s);
-  std::sort(evict.begin(), evict.end(),
-            [](const Slot* a, const Slot* b) { return a->index < b->index; });
-  for (Slot* s : evict) close_slot(*s, on_close);
-  newest_ = idx;
-}
+}  // namespace
 
 void WindowedHistogram::observe(double t_ns, double value,
                                 const CloseFn& on_close) {
-  observe_at_index(window_index(t_ns), value, 1, on_close);
-}
-
-void WindowedHistogram::observe_at_index(std::uint64_t idx, double value,
-                                         std::uint64_t weight,
-                                         const CloseFn& on_close) {
-  total_ += weight;
-  if (!any_) {
-    any_ = true;
-    newest_ = idx;
-  } else if (idx > newest_) {
-    advance_to(idx, on_close);
-  } else if (newest_ >= ring_.size() &&
-             idx < newest_ - (ring_.size() - 1)) {
-    late_dropped_ += weight;
-    return;
-  }
-  Slot& s = ring_[idx % ring_.size()];
-  if (!s.live) {
-    s.live = true;
-    s.index = idx;
-    if (s.counts.size() != bounds_.size() + 1)
-      s.counts.assign(bounds_.size() + 1, 0);
-  }
-  // Same closed-upper-bound semantics as obs::Histogram: bucket i covers
-  // (bounds[i-1], bounds[i]]; NaN and values above the last bound land in
-  // the overflow bucket.
-  std::size_t b = bounds_.size();
-  for (std::size_t i = 0; i < bounds_.size(); ++i)
-    if (value <= bounds_[i]) {
-      b = i;
-      break;
-    }
-  s.counts[b] += weight;
-  s.count += weight;
-  s.sum += value * static_cast<double>(weight);
+  Buckets* b = ring_.admit(window_index(t_ns), 1,
+                           hist_closer<Buckets>(on_close, *this));
+  if (b == nullptr) return;
+  b->counts[bucket_index(bounds_, value)] += 1;
+  b->count += 1;
+  b->sum += value;
 }
 
 void WindowedHistogram::finalize(const CloseFn& on_close) {
-  std::vector<Slot*> live;
-  for (Slot& s : ring_)
-    if (s.live) live.push_back(&s);
-  std::sort(live.begin(), live.end(),
-            [](const Slot* a, const Slot* b) { return a->index < b->index; });
-  for (Slot* s : live) close_slot(*s, on_close);
-  any_ = false;
-  newest_ = 0;
+  ring_.finalize(hist_closer<Buckets>(on_close, *this));
 }
 
 void WindowedHistogram::merge(const WindowedHistogram& other,
                               const CloseFn& on_close) {
-  if (other.window_ns_ != window_ns_ || other.ring_.size() != ring_.size() ||
-      other.bounds_ != bounds_)
+  if (other.bounds_ != bounds_)
     throw std::invalid_argument("WindowedHistogram::merge: shape mismatch");
-  std::vector<const Slot*> live;
-  for (const Slot& s : other.ring_)
-    if (s.live) live.push_back(&s);
-  std::sort(live.begin(), live.end(),
-            [](const Slot* a, const Slot* b) { return a->index < b->index; });
-  for (const Slot* src : live) {
-    // Replay the source window bucket-by-bucket at its own index. The
-    // bucket mid-value does not matter — counts land by bucket position.
-    total_ += src->count;
-    if (!any_) {
-      any_ = true;
-      newest_ = src->index;
-    } else if (src->index > newest_) {
-      advance_to(src->index, on_close);
-    } else if (newest_ >= ring_.size() &&
-               src->index < newest_ - (ring_.size() - 1)) {
-      late_dropped_ += src->count;
-      continue;
-    }
-    Slot& dst = ring_[src->index % ring_.size()];
-    if (!dst.live) {
-      dst.live = true;
-      dst.index = src->index;
-      if (dst.counts.size() != bounds_.size() + 1)
-        dst.counts.assign(bounds_.size() + 1, 0);
-    }
-    for (std::size_t i = 0; i < src->counts.size(); ++i)
-      dst.counts[i] += src->counts[i];
-    dst.count += src->count;
-    dst.sum += src->sum;
-  }
-  late_dropped_ += other.late_dropped_;
-  total_ += other.late_dropped_;
+  ring_.merge(
+      other.ring_, [](const Buckets& b) { return b.count; },
+      [](Buckets& dst, const Buckets& src) {
+        for (std::size_t i = 0; i < src.counts.size(); ++i)
+          dst.counts[i] += src.counts[i];
+        dst.count += src.count;
+        dst.sum += src.sum;
+      },
+      hist_closer<Buckets>(on_close, *this));
 }
 
 // --- SloTracker --------------------------------------------------------------
@@ -273,7 +130,7 @@ void SloTracker::observe(double t_ns, double latency_ns) {
 void SloTracker::record_rejected(double t_ns) { event(t_ns, false); }
 
 void SloTracker::event(double t_ns, bool good) {
-  const std::uint64_t idx = index_of(t_ns, cfg_.window_ns);
+  const std::uint64_t idx = detail::window_index(t_ns, cfg_.window_ns);
   if (!any_) {
     any_ = true;
     cur_index_ = idx;

@@ -32,14 +32,157 @@
 /// ordering (and would forfeit the bit-identical-series contract anyway).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
 
 namespace cim::obs {
+
+namespace detail {
+
+/// Window number of simulated time `t_ns`: floor(t_ns / window_ns), with
+/// negatives and NaN clamped to window 0.
+inline std::uint64_t window_index(double t_ns, double window_ns) {
+  if (!(t_ns > 0.0)) return 0;
+  return static_cast<std::uint64_t>(std::floor(t_ns / window_ns));
+}
+
+/// The bounded ring of simulated-time windows behind WindowedCounter and
+/// WindowedHistogram; `Payload` is what one window accumulates. The ring
+/// owns the window bookkeeping both share: shape validation, admitting an
+/// observation to its window (evicting windows that fall off the ring,
+/// oldest first), late-drop accounting, finalize, and the merge walk.
+/// Close callbacks receive `(index, payload)`; a closed slot is reset to
+/// the `blank` payload given at construction.
+template <class Payload>
+class WindowRing {
+ public:
+  WindowRing(const char* owner, double window_ns, std::size_t ring_windows,
+             Payload blank = {})
+      : owner_(owner), window_ns_(window_ns), blank_(std::move(blank)) {
+    if (!(window_ns > 0.0))
+      throw std::invalid_argument(std::string(owner_) +
+                                  ": window_ns must be > 0");
+    if (ring_windows == 0)
+      throw std::invalid_argument(std::string(owner_) +
+                                  ": ring_windows must be >= 1");
+    ring_.assign(ring_windows, Slot{false, 0, blank_});
+  }
+
+  double window_ns() const { return window_ns_; }
+  std::size_t size() const { return ring_.size(); }
+  std::uint64_t total() const { return total_; }
+  std::uint64_t late_dropped() const { return late_dropped_; }
+  std::uint64_t window_index(double t_ns) const {
+    return detail::window_index(t_ns, window_ns_);
+  }
+
+  /// Books `weight` events at window `idx` and returns that window's
+  /// payload, opening the window if needed. Moving past the newest window
+  /// first closes every window that falls off the ring, in increasing
+  /// index order. Returns nullptr for a window already evicted: its events
+  /// count as late_dropped() and never resurrect it.
+  template <class Close>
+  Payload* admit(std::uint64_t idx, std::uint64_t weight,
+                 const Close& close) {
+    const std::size_t R = ring_.size();
+    total_ += weight;
+    if (!any_) {
+      any_ = true;
+      newest_ = idx;
+    } else if (idx > newest_) {
+      close_live_before(idx >= R - 1 ? idx - (R - 1) : 0, close);
+      newest_ = idx;
+    } else if (newest_ >= R && idx < newest_ - (R - 1)) {
+      late_dropped_ += weight;
+      return nullptr;
+    }
+    Slot& s = ring_[idx % R];
+    if (!s.live) {
+      s.live = true;
+      s.index = idx;
+    }
+    return &s.data;
+  }
+
+  /// Closes every open window in increasing index order and resets to the
+  /// empty state. Total/late counters persist.
+  template <class Close>
+  void finalize(const Close& close) {
+    close_live_before(kAll, close);
+    any_ = false;
+    newest_ = 0;
+  }
+
+  /// Replays every open window of `other` at its own index, oldest first:
+  /// each admits `weight(payload)` events and `fold(dst, src)` adds the
+  /// source payload into the admitted window. Windows outside this ring
+  /// count as late. Same window size and ring length required.
+  template <class Weight, class Fold, class Close>
+  void merge(const WindowRing& other, const Weight& weight, const Fold& fold,
+             const Close& close) {
+    if (other.window_ns_ != window_ns_ || other.ring_.size() != ring_.size())
+      throw std::invalid_argument(std::string(owner_) +
+                                  "::merge: shape mismatch");
+    for (const std::size_t i : other.live_before(kAll)) {
+      const Slot& src = other.ring_[i];
+      if (Payload* dst = admit(src.index, weight(src.data), close))
+        fold(*dst, src.data);
+    }
+    late_dropped_ += other.late_dropped_;
+    total_ += other.late_dropped_;
+  }
+
+ private:
+  struct Slot {
+    bool live = false;
+    std::uint64_t index = 0;
+    Payload data;
+  };
+  static constexpr std::uint64_t kAll =
+      std::numeric_limits<std::uint64_t>::max();
+
+  /// Ring positions of the live windows with index < `end`, oldest first.
+  std::vector<std::size_t> live_before(std::uint64_t end) const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+      if (ring_[i].live && ring_[i].index < end) out.push_back(i);
+    std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+      return ring_[a].index < ring_[b].index;
+    });
+    return out;
+  }
+
+  template <class Close>
+  void close_live_before(std::uint64_t end, const Close& close) {
+    for (const std::size_t i : live_before(end)) {
+      Slot& s = ring_[i];
+      close(s.index, s.data);
+      s.live = false;
+      s.data = blank_;
+    }
+  }
+
+  const char* owner_;
+  double window_ns_;
+  Payload blank_;
+  std::vector<Slot> ring_;
+  std::uint64_t newest_ = 0;
+  bool any_ = false;
+  std::uint64_t total_ = 0;
+  std::uint64_t late_dropped_ = 0;
+};
+
+}  // namespace detail
 
 /// One closed window of a WindowedCounter.
 struct WindowCount {
@@ -73,29 +216,16 @@ class WindowedCounter {
   /// ring count as late. `other` is left untouched.
   void merge(const WindowedCounter& other, const CloseFn& on_close = {});
 
-  double window_ns() const { return window_ns_; }
+  double window_ns() const { return ring_.window_ns(); }
   std::size_t ring_windows() const { return ring_.size(); }
-  std::uint64_t total() const { return total_; }
-  std::uint64_t late_dropped() const { return late_dropped_; }
-  std::uint64_t window_index(double t_ns) const;
+  std::uint64_t total() const { return ring_.total(); }
+  std::uint64_t late_dropped() const { return ring_.late_dropped(); }
+  std::uint64_t window_index(double t_ns) const {
+    return ring_.window_index(t_ns);
+  }
 
  private:
-  struct Slot {
-    bool live = false;
-    std::uint64_t index = 0;
-    std::uint64_t count = 0;
-  };
-  void advance_to(std::uint64_t idx, const CloseFn& on_close);
-  void close_slot(Slot& s, const CloseFn& on_close);
-  void add_at_index(std::uint64_t idx, std::uint64_t v,
-                    const CloseFn& on_close);
-
-  double window_ns_;
-  std::vector<Slot> ring_;
-  std::uint64_t newest_ = 0;
-  bool any_ = false;
-  std::uint64_t total_ = 0;
-  std::uint64_t late_dropped_ = 0;
+  detail::WindowRing<std::uint64_t> ring_;
 };
 
 /// One closed window of a WindowedHistogram: the same fixed-bucket
@@ -108,8 +238,8 @@ struct WindowHistogramSnap {
 };
 
 /// Per-simulated-time-window fixed-bucket histogram over a bounded ring:
-/// live per-window p50/p99/p999 and rates for the serving layer, with the
-/// same closed-upper-bound bucket semantics as obs::Histogram.
+/// live per-window p50/p99/p999 and rates for the serving layer, filed by
+/// the same bucket_index() rule as obs::Histogram.
 class WindowedHistogram {
  public:
   using CloseFn = std::function<void(const WindowHistogramSnap&)>;
@@ -127,33 +257,24 @@ class WindowedHistogram {
   /// Deterministic merge (same window size, bounds, and ring required).
   void merge(const WindowedHistogram& other, const CloseFn& on_close = {});
 
-  double window_ns() const { return window_ns_; }
+  double window_ns() const { return ring_.window_ns(); }
   std::size_t ring_windows() const { return ring_.size(); }
   const std::vector<double>& bounds() const { return bounds_; }
-  std::uint64_t total() const { return total_; }
-  std::uint64_t late_dropped() const { return late_dropped_; }
-  std::uint64_t window_index(double t_ns) const;
+  std::uint64_t total() const { return ring_.total(); }
+  std::uint64_t late_dropped() const { return ring_.late_dropped(); }
+  std::uint64_t window_index(double t_ns) const {
+    return ring_.window_index(t_ns);
+  }
 
  private:
-  struct Slot {
-    bool live = false;
-    std::uint64_t index = 0;
+  struct Buckets {
     std::vector<std::uint64_t> counts;  ///< bounds.size() + 1, overflow last
     std::uint64_t count = 0;
     double sum = 0.0;
   };
-  void advance_to(std::uint64_t idx, const CloseFn& on_close);
-  void close_slot(Slot& s, const CloseFn& on_close);
-  void observe_at_index(std::uint64_t idx, double value, std::uint64_t weight,
-                        const CloseFn& on_close);
 
-  double window_ns_;
   std::vector<double> bounds_;
-  std::vector<Slot> ring_;
-  std::uint64_t newest_ = 0;
-  bool any_ = false;
-  std::uint64_t total_ = 0;
-  std::uint64_t late_dropped_ = 0;
+  detail::WindowRing<Buckets> ring_;
 };
 
 // --- SLO tracking ------------------------------------------------------------

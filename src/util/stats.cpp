@@ -3,46 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
+
+#include "obs/dataset.hpp"
 
 namespace cim::util {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double quantile_sorted(std::span<const double> sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -59,12 +24,12 @@ Summary summarize(std::span<const double> xs) {
   s.count = xs.size();
   if (xs.empty()) return s;
 
-  RunningStats rs;
+  obs::StreamStat rs;
   for (double x : xs) rs.add(x);
-  s.mean = rs.mean();
+  s.mean = rs.mean;
   s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
+  s.min = rs.min;
+  s.max = rs.max;
 
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
@@ -89,13 +54,13 @@ Summary summarize(std::span<const double> xs) {
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  RunningStats sx, sy;
+  obs::StreamStat sx, sy;
   for (double x : xs) sx.add(x);
   for (double y : ys) sy.add(y);
   if (sx.stddev() == 0.0 || sy.stddev() == 0.0) return 0.0;
   double cov = 0.0;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    cov += (xs[i] - sx.mean()) * (ys[i] - sy.mean());
+    cov += (xs[i] - sx.mean) * (ys[i] - sy.mean);
   }
   cov /= static_cast<double>(xs.size() - 1);
   return cov / (sx.stddev() * sy.stddev());
@@ -118,32 +83,6 @@ double rms_error(std::span<const double> a, std::span<const double> b) {
     acc += d * d;
   }
   return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * width;
 }
 
 }  // namespace cim::util

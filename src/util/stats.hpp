@@ -1,37 +1,12 @@
 /// \file stats.hpp
-/// \brief Streaming and batch statistics used by the power monitor, the
-///        fault-rate estimator and the benchmark reporters.
+/// \brief Batch statistics used by the benchmark reporters. The streaming
+///        accumulator is obs::StreamStat (obs/dataset.hpp).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace cim::util {
-
-/// Welford-style streaming accumulator for mean/variance/min/max.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Unbiased sample variance (0 for fewer than two samples).
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Batch summary of a sample: moments plus order statistics.
 struct Summary {
@@ -63,29 +38,5 @@ double mean_abs_error(std::span<const double> a, std::span<const double> b);
 
 /// Root mean square error between two equally sized vectors.
 double rms_error(std::span<const double> a, std::span<const double> b);
-
-/// Fixed-width histogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  /// Center of bin i.
-  double bin_center(std::size_t i) const;
-  /// Count of samples outside [lo, hi).
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-};
 
 }  // namespace cim::util

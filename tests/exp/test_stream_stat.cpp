@@ -30,11 +30,24 @@ TEST(StreamStat, MatchesClosedFormMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 15.0);
   EXPECT_NEAR(s.stddev(), std::sqrt(2.5), 1e-15);
   EXPECT_NEAR(s.std_error(), std::sqrt(2.5 / 5.0), 1e-15);
+
+  // A sample with ties: mean 5, unbiased variance 32/7, sum 40.
+  StreamStat t;
+  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) t.add(x);
+  EXPECT_DOUBLE_EQ(t.mean, 5.0);
+  EXPECT_NEAR(t.variance(), 32.0 / 7.0, 1e-12);
+  EXPECT_EQ(t.min, 2.0);
+  EXPECT_EQ(t.max, 9.0);
+  EXPECT_DOUBLE_EQ(t.sum(), 40.0);
 }
 
 TEST(StreamStat, EmptyAndSingleton) {
   StreamStat s;
   EXPECT_EQ(s.n, 0u);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.sum(), 0.0);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   // An unestimable CI must never satisfy a convergence target.
   EXPECT_TRUE(std::isinf(s.ci_half_width(1.96)));
@@ -43,6 +56,7 @@ TEST(StreamStat, EmptyAndSingleton) {
   EXPECT_DOUBLE_EQ(s.mean, 7.5);
   EXPECT_DOUBLE_EQ(s.min, 7.5);
   EXPECT_DOUBLE_EQ(s.max, 7.5);
+  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_TRUE(std::isinf(s.ci_half_width(1.96)));
   s.add(7.5);
   // Degenerate two-sample stream: zero variance, zero CI.

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 
 namespace cim::nn {
 namespace {
@@ -68,14 +68,14 @@ TEST(SparseCoding, CrossbarIstaTracksReference) {
   IstaConfig ista;
   ista.iterations = 60;
   ista.lambda = 0.02;
-  util::RunningStats analog_err, ref_err;
+  obs::StreamStat analog_err, ref_err;
   for (std::size_t i = 0; i < prob.signals.rows(); ++i) {
     analog_err.add(coder.encode(prob.signals.row(i), ista).reconstruction_error);
     ref_err.add(
         coder.encode_reference(prob.signals.row(i), ista).reconstruction_error);
   }
   // The analog loop is noisier but must stay in the same regime.
-  EXPECT_LT(analog_err.mean(), ref_err.mean() + 0.25);
+  EXPECT_LT(analog_err.mean, ref_err.mean + 0.25);
 }
 
 TEST(SparseCoding, CodesAreSparse) {

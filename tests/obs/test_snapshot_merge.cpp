@@ -9,6 +9,8 @@
 #include <array>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -138,6 +140,39 @@ TEST(SnapshotMerge, ParseRejectsGarbage) {
   EXPECT_FALSE(parse_snapshot_json("not json", out, &err));
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(parse_snapshot_json("{\"counters\": [", out, nullptr));
+}
+
+TEST(SnapshotMerge, ParseRejectsInvalidHistogramLayout) {
+  // A histogram whose bounds are not strictly increasing, or whose bucket
+  // counts disagree with its count, is rejected with an error naming it.
+  const auto parse_hist = [](Snapshot::Hist h, std::string* err) {
+    Snapshot s = make_snapshot(1);
+    s.histograms = {std::move(h)};
+    std::ostringstream os;
+    cim::obs::write_snapshot_json(os, s);
+    Snapshot out;
+    return parse_snapshot_json(os.str(), out, err);
+  };
+  const Snapshot::Hist good = make_snapshot(1).histograms[0];
+  std::string err;
+  ASSERT_TRUE(parse_hist(good, &err)) << err;
+
+  for (const std::vector<double>& bounds :
+       {std::vector<double>{5.0, 1.0, 3.0}, std::vector<double>{1.0, 1.0, 3.0}}) {
+    Snapshot::Hist h = good;
+    h.data.bounds = bounds;
+    err.clear();
+    EXPECT_FALSE(parse_hist(h, &err));
+    EXPECT_NE(err.find("trial.latency"), std::string::npos) << err;
+    EXPECT_NE(err.find("strictly increasing"), std::string::npos) << err;
+  }
+
+  Snapshot::Hist h = good;
+  h.data.count += 1;
+  err.clear();
+  EXPECT_FALSE(parse_hist(h, &err));
+  EXPECT_NE(err.find("trial.latency"), std::string::npos) << err;
+  EXPECT_NE(err.find("sum to count"), std::string::npos) << err;
 }
 
 TEST(SnapshotMerge, AbsorbIntoLiveRegistry) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -41,31 +43,90 @@ TEST(WindowedCounter, BucketsBySimulatedTimeAndClosesInOrder) {
   EXPECT_EQ(wc.late_dropped(), 0u);
 }
 
-TEST(WindowedCounter, LateObservationsBeyondRingAreCountedNotMisfiled) {
-  WindowedCounter wc(100.0, 2);
-  std::vector<WindowCount> closed;
-  const auto on_close = [&](const WindowCount& w) { closed.push_back(w); };
+// WindowedCounter and WindowedHistogram share one window ring; the ring
+// tests below run over both through this adapter ("record one event at
+// t", "events in a closed window").
+template <class W>
+struct RingUser;
 
-  wc.add(950.0, 1, on_close);  // window 9; ring spans {8, 9}
-  wc.add(850.0, 1, on_close);  // window 8: still inside the ring
-  wc.add(50.0, 1, on_close);   // window 0: older than the ring
-  EXPECT_EQ(wc.late_dropped(), 1u);
-  EXPECT_EQ(wc.total(), 3u);  // total counts every add, late included
+template <>
+struct RingUser<WindowedCounter> {
+  using Closed = WindowCount;
+  static WindowedCounter make(double window_ns, std::size_t ring) {
+    return WindowedCounter(window_ns, ring);
+  }
+  static void record(WindowedCounter& w, double t_ns,
+                     const WindowedCounter::CloseFn& on_close = {}) {
+    w.add(t_ns, 1, on_close);
+  }
+  static std::uint64_t events(const WindowCount& w) { return w.count; }
+};
 
-  wc.finalize(on_close);
+template <>
+struct RingUser<WindowedHistogram> {
+  using Closed = WindowHistogramSnap;
+  static constexpr std::array<double, 2> kBounds = {10.0, 100.0};
+  static WindowedHistogram make(double window_ns, std::size_t ring) {
+    return WindowedHistogram(window_ns, kBounds, ring);
+  }
+  static void record(WindowedHistogram& w, double t_ns,
+                     const WindowedHistogram::CloseFn& on_close = {}) {
+    w.observe(t_ns, 50.0, on_close);
+  }
+  static std::uint64_t events(const WindowHistogramSnap& w) {
+    return w.hist.count;
+  }
+};
+
+template <class W>
+void check_late_observations_beyond_ring_are_counted() {
+  using U = RingUser<W>;
+  W w = U::make(100.0, 2);
+  std::vector<typename U::Closed> closed;
+  const auto on_close = [&](const typename U::Closed& c) {
+    closed.push_back(c);
+  };
+
+  U::record(w, 950.0, on_close);  // window 9; ring spans {8, 9}
+  U::record(w, 850.0, on_close);  // window 8: still inside the ring
+  U::record(w, 50.0, on_close);   // window 0: older than the ring
+  EXPECT_EQ(w.late_dropped(), 1u);
+  EXPECT_EQ(w.total(), 3u);  // total counts every event, late included
+
+  w.finalize(on_close);
   ASSERT_EQ(closed.size(), 2u);
   EXPECT_EQ(closed[0].index, 8u);
   EXPECT_EQ(closed[1].index, 9u);
+  EXPECT_EQ(U::events(closed[0]) + U::events(closed[1]), 2u);
+}
+
+TEST(WindowedCounter, LateObservationsBeyondRingAreCountedNotMisfiled) {
+  check_late_observations_beyond_ring_are_counted<WindowedCounter>();
+}
+
+TEST(WindowedHistogram, LateObservationsBeyondRingAreCountedNotMisfiled) {
+  check_late_observations_beyond_ring_are_counted<WindowedHistogram>();
+}
+
+template <class W>
+void check_negative_and_nan_times_clamp_to_window_zero() {
+  using U = RingUser<W>;
+  W w = U::make(100.0, 4);
+  U::record(w, -50.0);  // clamps to window 0 rather than underflowing
+  U::record(w, std::numeric_limits<double>::quiet_NaN());
+  std::vector<typename U::Closed> closed;
+  w.finalize([&](const typename U::Closed& c) { closed.push_back(c); });
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].index, 0u);
+  EXPECT_EQ(U::events(closed[0]), 2u);
 }
 
 TEST(WindowedCounter, NegativeAndPreRingTimesClampToWindowZero) {
-  WindowedCounter wc(100.0, 4);
-  wc.add(-50.0);  // clamps to window 0 rather than underflowing
-  std::vector<WindowCount> closed;
-  wc.finalize([&](const WindowCount& w) { closed.push_back(w); });
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].index, 0u);
-  EXPECT_EQ(closed[0].count, 1u);
+  check_negative_and_nan_times_clamp_to_window_zero<WindowedCounter>();
+}
+
+TEST(WindowedHistogram, NegativeAndPreRingTimesClampToWindowZero) {
+  check_negative_and_nan_times_clamp_to_window_zero<WindowedHistogram>();
 }
 
 TEST(WindowedCounter, MergeEqualsSingleStream) {
@@ -93,12 +154,30 @@ TEST(WindowedCounter, MergeEqualsSingleStream) {
   EXPECT_EQ(a.total(), whole.total());
 }
 
+template <class W>
+void check_rejects_invalid_ring_shape() {
+  using U = RingUser<W>;
+  EXPECT_THROW(U::make(0.0, 4), std::invalid_argument);
+  EXPECT_THROW(U::make(-1.0, 4), std::invalid_argument);
+  EXPECT_THROW(U::make(10.0, 0), std::invalid_argument);
+  W a = U::make(10.0, 4);
+  const W other_width = U::make(20.0, 4);
+  const W other_ring = U::make(10.0, 8);
+  EXPECT_THROW(a.merge(other_width), std::invalid_argument);
+  EXPECT_THROW(a.merge(other_ring), std::invalid_argument);
+}
+
 TEST(WindowedCounter, RejectsInvalidShape) {
-  EXPECT_THROW(WindowedCounter(0.0), std::invalid_argument);
-  EXPECT_THROW(WindowedCounter(-1.0), std::invalid_argument);
-  EXPECT_THROW(WindowedCounter(10.0, 0), std::invalid_argument);
-  WindowedCounter a(10.0, 4);
-  WindowedCounter b(20.0, 4);
+  check_rejects_invalid_ring_shape<WindowedCounter>();
+}
+
+TEST(WindowedHistogram, RejectsInvalidShape) {
+  check_rejects_invalid_ring_shape<WindowedHistogram>();
+  const std::array<double, 2> unsorted = {100.0, 10.0};
+  EXPECT_THROW(WindowedHistogram(10.0, unsorted), std::invalid_argument);
+  const std::array<double, 2> other_bounds = {10.0, 50.0};
+  WindowedHistogram a(10.0, RingUser<WindowedHistogram>::kBounds);
+  const WindowedHistogram b(10.0, other_bounds);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 

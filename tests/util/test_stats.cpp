@@ -5,51 +5,8 @@
 #include <cmath>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace cim::util {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStats, KnownSample) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-  Rng rng(5);
-  RunningStats a, b, all;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(1.0, 2.0);
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
 
 TEST(Summary, OrderStatistics) {
   std::vector<double> xs = {5, 1, 4, 2, 3};
@@ -100,23 +57,6 @@ TEST(Errors, SizeMismatchThrows) {
   std::vector<double> b = {1.0, 2.0};
   EXPECT_THROW((void)mean_abs_error(a, b), std::invalid_argument);
   EXPECT_THROW((void)rms_error(a, b), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1.0);
-  h.add(42.0);
-  EXPECT_EQ(h.total(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bin_count(b), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-}
-
-TEST(Histogram, BadRangeThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 }  // namespace
