@@ -57,6 +57,7 @@ Crossbar::Crossbar(CrossbarConfig cfg)
 }
 
 void Crossbar::apply_faults(const fault::FaultMap& map) {
+  constexpr double kWriteDisturbScale = 1e3;
   if (map.rows() != cfg_.rows || map.cols() != cfg_.cols)
     throw std::invalid_argument("apply_faults: fault map size mismatch");
   invalidate_conductance_cache();
@@ -89,7 +90,9 @@ void Crossbar::apply_faults(const fault::FaultMap& map) {
           cl.force_disturb_scales(/*read=*/1e4, /*write=*/1.0);
           break;
         case fault::FaultKind::kWriteDisturb:
-          cl.force_disturb_scales(/*read=*/1.0, /*write=*/1e3);
+          cl.force_disturb_scales(/*read=*/1.0, /*write=*/kWriteDisturbScale);
+          max_write_disturb_scale_ =
+              std::max(max_write_disturb_scale_, kWriteDisturbScale);
           break;
         default:
           break;  // array-level faults handled at addressing time
@@ -157,24 +160,31 @@ void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one) {
       }
     }
   }
-  // Half-select disturb on same-row / same-column neighbours. Only the
-  // cells whose conductance actually moved go on the dirty list.
-  if (tech_.write_disturb_prob > 0.0) {
-    for (std::size_t cc = 0; cc < cfg_.cols; ++cc)
-      if (cc != c && cell(r, cc).disturb_from_neighbour_write(rng_)) {
-        mark_cell_dirty(r, cc);
-        if (health)
-          health_monitor().record_disturb(r, cc,
-                                          cell(r, cc).true_conductance_us());
-      }
-    for (std::size_t rr = 0; rr < cfg_.rows; ++rr)
-      if (rr != r && cell(rr, c).disturb_from_neighbour_write(rng_)) {
-        mark_cell_dirty(rr, c);
-        if (health)
-          health_monitor().record_disturb(rr, c,
-                                          cell(rr, c).true_conductance_us());
-      }
-  }
+  if (tech_.write_disturb_prob <= 0.0) return;
+  // Half-select disturb on the written row's and column's neighbours,
+  // skip-sampled: geometric gaps at p_max (the largest per-cell rate in the
+  // array) pick the candidates, and each candidate is kept with probability
+  // p_cell / p_max, so every neighbour is disturbed with exactly its own
+  // probability at O(1 + hits) cost per write. Candidate k of a line maps
+  // around the written cell, which is never a candidate. Only the cells
+  // whose conductance actually moved go on the dirty list.
+  const double p_max =
+      std::min(1.0, tech_.write_disturb_prob * max_write_disturb_scale_);
+  const auto candidate = [&](std::size_t rr, std::size_t cc) {
+    auto& cl = cell(rr, cc);
+    const double p = cl.write_disturb_prob();
+    if (p < p_max && !rng_.bernoulli(p / p_max)) return;
+    if (!cl.disturb_step()) return;
+    mark_cell_dirty(rr, cc);
+    if (health)
+      health_monitor().record_disturb(rr, cc, cl.true_conductance_us());
+  };
+  for (std::uint64_t k = rng_.geometric(p_max); k + 1 < cfg_.cols;
+       k += 1 + rng_.geometric(p_max))
+    candidate(r, k < c ? k : k + 1);
+  for (std::uint64_t k = rng_.geometric(p_max); k + 1 < cfg_.rows;
+       k += 1 + rng_.geometric(p_max))
+    candidate(k < r ? k : k + 1, c);
 }
 
 void Crossbar::write_bit(std::size_t row, std::size_t col, bool value) {
@@ -437,8 +447,7 @@ void Crossbar::apply_read_disturb(util::Rng& rng) {
   for (std::size_t k = 0; k < hits; ++k) {
     const std::size_t idx = rng.uniform_int(cells_.size());
     auto& cl = cells_[idx];
-    cl.force_conductance(cl.true_conductance_us() +
-                         0.5 * cl.scheme().step_us());
+    if (!cl.disturb_step()) continue;
     mark_cell_dirty(idx / cfg_.cols, idx % cfg_.cols);
     if (obs::health_enabled())
       health_monitor().record_disturb(idx / cfg_.cols, idx % cfg_.cols,

@@ -363,6 +363,8 @@ class Crossbar {
   double sneak_background_per_col(std::span<const double> v_rows) const;
 
   /// Expected-count read-disturb events for one VMM cycle, drawn from `rng`.
+  /// Each hit applies ReRamCell::disturb_step(), so hard-stuck cells and
+  /// cells already at g_on do not move and are not dirty-marked.
   void apply_read_disturb(util::Rng& rng);
 
   CrossbarConfig cfg_;
@@ -400,6 +402,10 @@ class Crossbar {
 
   std::vector<double> vmm_noise_scratch_;  ///< per-call noise-variance buffer
   std::vector<double> batch_energy_scratch_;  ///< per-sample energy (vmm_batch)
+  /// Largest write-disturb scale any cell carries (monotone: raised by
+  /// apply_faults, never lowered); sets the skip-sampling rate in
+  /// after_write so every cell's rate is thinned down from it.
+  double max_write_disturb_scale_ = 1.0;
 };
 
 }  // namespace cim::crossbar

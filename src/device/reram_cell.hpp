@@ -103,11 +103,18 @@ class ReRamCell {
   /// disturbed cell shows a large |true - target| long before reads fail.
   double target_conductance_us() const { return target_g_; }
 
-  /// Disturb from a write on a neighbouring cell (half-select stress):
-  /// with the technology's probability the conductance takes a small step
-  /// towards LRS. Returns true when the stored conductance actually moved,
-  /// so callers maintaining conductance caches can dirty-track precisely.
-  bool disturb_from_neighbour_write(util::Rng& rng);
+  /// Probability that a write on a half-selected neighbour disturbs this
+  /// cell: the technology's rate times the cell's write-disturb fault
+  /// scale, clamped to 1. The caller draws the event (Crossbar skip-samples
+  /// it over the written row and column).
+  double write_disturb_prob() const;
+
+  /// One disturb event, the single rule shared by read disturb, array read
+  /// disturb and neighbour-write disturb: a half-level step towards LRS,
+  /// capped at g_on; hard-stuck cells do not move. Returns true when the
+  /// stored conductance actually moved, so callers maintaining conductance
+  /// caches can dirty-track precisely.
+  bool disturb_step();
 
   // --- fault-module hooks -------------------------------------------------
   void force_stuck(StuckMode mode);

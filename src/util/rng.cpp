@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace cim::util {
 namespace {
@@ -86,6 +87,21 @@ double Rng::lognormal(double mu_log, double sigma_log) {
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
+
+std::uint64_t Rng::geometric(double p) {
+  if (!(p > 0.0))
+    throw std::invalid_argument("Rng::geometric: need p > 0 (got NaN or <= 0)");
+  if (p >= 1.0) return 0;
+  return geometric_gap(uniform(), p);
+}
+
+std::uint64_t Rng::geometric_gap(double u, double p) {
+  constexpr double kMaxGap = 0x1.0p62;
+  const double k = std::floor(std::log1p(-u) / std::log1p(-p));
+  // `k < kMaxGap` is false for NaN and +inf too: both clamp.
+  if (!(k < kMaxGap)) return static_cast<std::uint64_t>(kMaxGap);
+  return k > 0.0 ? static_cast<std::uint64_t>(k) : 0;
+}
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);

@@ -84,6 +84,18 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p);
 
+  /// Geometric variate: the number of failures before the first success
+  /// of Bernoulli(p) trials, from one uniform draw (see geometric_gap).
+  /// p >= 1 returns 0 without drawing; throws std::invalid_argument for
+  /// p <= 0 or NaN. Used to skip-sample rare events over long candidate
+  /// lists in O(1 + hits) instead of one Bernoulli per candidate.
+  std::uint64_t geometric(double p);
+
+  /// Inverse-CDF body of geometric(): floor(log1p(-u) / log1p(-p)) for u in
+  /// [0, 1) and p in (0, 1), clamped to 2^62 before the integer conversion
+  /// so extreme (u, p) pairs never overflow. Pure function.
+  static std::uint64_t geometric_gap(double u, double p);
+
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 

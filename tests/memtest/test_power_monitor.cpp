@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "obs/dataset.hpp"
 #include "util/stats.hpp"
@@ -94,32 +96,40 @@ TEST(PowerMonitor, FeatureExtractionDegenerateInputs) {
   EXPECT_NE(tail.post_mean, 0.0);
 }
 
+// Gates the estimator, not one draw: a single 12-example holdout swings
+// the holdout Pearson r from ~0.2 to ~0.97 across seeds, so the bars apply
+// to the median over a seed set fixed in advance (seeds 1-9).
 TEST(PowerMonitor, EstimatorLearnsFaultFraction) {
-  util::Rng rng(11);
   auto array_cfg = cfg32();
   array_cfg.rows = array_cfg.cols = 16;  // keep training quick
   MonitorConfig mon;
   mon.cycles = 700;
   mon.cusum.warmup = 150;
 
-  auto examples =
-      FaultRateEstimator::generate_training_data(array_cfg, mon, 40, rng);
-  ASSERT_EQ(examples.size(), 40u);
+  std::vector<double> train_r2, holdout_r;
+  for (std::uint64_t seed = 1; seed <= 9; ++seed) {
+    util::Rng rng(seed);
+    auto examples =
+        FaultRateEstimator::generate_training_data(array_cfg, mon, 40, rng);
+    ASSERT_EQ(examples.size(), 40u);
 
-  FaultRateEstimator est;
-  est.train(examples);
-  ASSERT_TRUE(est.trained());
-  EXPECT_GT(est.r2(examples), 0.5);
+    FaultRateEstimator est;
+    est.train(examples);
+    ASSERT_TRUE(est.trained());
+    train_r2.push_back(est.r2(examples));
 
-  // Held-out examples: predictions correlate with the truth.
-  auto holdout =
-      FaultRateEstimator::generate_training_data(array_cfg, mon, 12, rng);
-  std::vector<double> pred, truth;
-  for (const auto& ex : holdout) {
-    pred.push_back(est.estimate(ex.features));
-    truth.push_back(ex.fault_fraction);
+    // Held-out examples: predictions correlate with the truth.
+    auto holdout =
+        FaultRateEstimator::generate_training_data(array_cfg, mon, 12, rng);
+    std::vector<double> pred, truth;
+    for (const auto& ex : holdout) {
+      pred.push_back(est.estimate(ex.features));
+      truth.push_back(ex.fault_fraction);
+    }
+    holdout_r.push_back(util::pearson(pred, truth));
   }
-  EXPECT_GT(util::pearson(pred, truth), 0.6);
+  EXPECT_GT(util::summarize(train_r2).median, 0.5);
+  EXPECT_GT(util::summarize(holdout_r).median, 0.6);
 }
 
 TEST(PowerMonitor, EstimateClampedToUnitInterval) {

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 namespace cim::util {
 namespace {
@@ -91,6 +94,60 @@ TEST(Rng, BernoulliDegenerateProbabilities) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
   }
+}
+
+// Geometric(p) counts failures before the first success: P(0) = p,
+// mean (1-p)/p, variance (1-p)/p^2. Both bands are 4-sigma binomial /
+// CLT intervals for the draw count used (fixed seeds).
+TEST(Rng, GeometricMatchesDistribution) {
+  for (const double p : {0.2, 1e-3}) {
+    Rng rng(31);
+    const int n = 200000;
+    int zeros = 0;
+    double sum = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const auto k = rng.geometric(p);
+      if (k == 0) ++zeros;
+      sum += static_cast<double>(k);
+    }
+    const double p0_sigma = std::sqrt(p * (1.0 - p) / n);
+    EXPECT_NEAR(static_cast<double>(zeros) / n, p, 4.0 * p0_sigma) << p;
+    const double mean = (1.0 - p) / p;
+    const double mean_sigma = std::sqrt((1.0 - p) / (p * p) / n);
+    EXPECT_NEAR(sum / n, mean, 4.0 * mean_sigma) << p;
+  }
+}
+
+TEST(Rng, GeometricCertainSuccessIsZeroWithoutDrawing) {
+  Rng a(37), b(37);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(a.geometric(1.0), 0u);
+    EXPECT_EQ(a.geometric(1.5), 0u);
+  }
+  EXPECT_EQ(a(), b());  // no generator state consumed
+}
+
+TEST(Rng, GeometricGapClampsInsteadOfOverflowing) {
+  const double u_max = std::nextafter(1.0, 0.0);  // largest uniform() value
+  // p = 1e-12 at u -> 1: log(2^-53) / -1e-12 ~ 3.7e13, finite and exact.
+  const auto k = Rng::geometric_gap(u_max, 1e-12);
+  EXPECT_GT(k, 3.6e13);
+  EXPECT_LT(k, 3.8e13);
+  // Ratios past 2^62 (or +inf for a subnormal p) clamp to 2^62.
+  const std::uint64_t clamp = std::uint64_t{1} << 62;
+  EXPECT_EQ(Rng::geometric_gap(0.5, 1e-300), clamp);
+  EXPECT_EQ(Rng::geometric_gap(u_max, 5e-324), clamp);
+  EXPECT_EQ(Rng::geometric_gap(0.0, 0.5), 0u);
+  Rng rng(41);
+  for (int i = 0; i < 100; ++i) EXPECT_LE(rng.geometric(1e-300), clamp);
+}
+
+TEST(Rng, GeometricRejectsNonPositiveAndNaN) {
+  Rng rng(43);
+  EXPECT_THROW(rng.geometric(0.0), std::invalid_argument);
+  EXPECT_THROW(rng.geometric(-0.1), std::invalid_argument);
+  EXPECT_THROW(rng.geometric(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(Rng, PermutationIsAPermutation) {
