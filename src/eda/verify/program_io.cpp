@@ -1,13 +1,18 @@
 #include "eda/verify/program_io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/record_io.hpp"
 
 namespace cim::eda::verify {
 namespace {
+
+namespace rio = util::record_io;
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
@@ -30,81 +35,41 @@ void dump_operand(std::ostream& os, const RevampOperand& op) {
   }
 }
 
-/// Tokenizer state over one parsed line.
-struct Line {
-  std::vector<std::string> tokens;
-  bool empty() const { return tokens.empty(); }
-  const std::string& head() const { return tokens.front(); }
-};
+/// Widest ReVAMP crossbar a file may declare or address: beyond this a
+/// bitline index is a typo, not a program, and must not size an allocation.
+constexpr std::size_t kMaxBitlines = std::size_t{1} << 16;
 
-Line split(const std::string& raw) {
-  Line line;
-  std::istringstream is(raw);
-  std::string tok;
-  while (is >> tok) {
-    if (tok.front() == '#') break;  // comment to end of line
-    line.tokens.push_back(tok);
-  }
-  return line;
+std::size_t parse_node(const rio::LineReader& in, std::string_view tok) {
+  if (tok == "@-") return kNone;
+  const auto v =
+      tok.starts_with('@') ? rio::parse_u64(tok.substr(1)) : std::nullopt;
+  if (!v) in.fail("bad node annotation '" + std::string(tok) + "'");
+  return *v;
 }
 
-bool parse_size(const std::string& tok, std::size_t& out) {
-  if (tok.empty()) return false;
-  std::size_t v = 0;
-  for (const char ch : tok) {
-    if (ch < '0' || ch > '9') return false;
-    v = v * 10 + static_cast<std::size_t>(ch - '0');
-  }
-  out = v;
-  return true;
-}
-
-bool parse_node(const std::string& tok, std::size_t& out) {
-  if (tok.size() < 2 || tok[0] != '@') return false;
-  if (tok == "@-") {
-    out = kNone;
-    return true;
-  }
-  return parse_size(tok.substr(1), out);
-}
-
-bool parse_operand(const std::string& tok, RevampOperand& op) {
-  std::string body = tok;
-  op = RevampOperand{};
-  if (!body.empty() && body[0] == '!') {
+RevampOperand parse_operand(const rio::LineReader& in, std::string_view tok) {
+  RevampOperand op;
+  std::string_view body = tok;
+  if (body.starts_with('!')) {
     op.complemented = true;
-    body.erase(0, 1);
+    body.remove_prefix(1);
   }
+  const std::size_t dot = body.find('.');
   if (body == "c0") {
     op.src = RevampOperand::Src::kConst0;
-    return true;
-  }
-  if (body == "c1") {
+  } else if (body == "c1") {
     op.src = RevampOperand::Src::kConst1;
-    return true;
-  }
-  if (body.size() >= 2 && body[0] == 'i') {
+  } else if (body.starts_with('i')) {
     op.src = RevampOperand::Src::kInput;
-    return parse_size(body.substr(1), op.input_index);
-  }
-  if (body.size() >= 4 && body[0] == 'd') {
-    const auto dot = body.find('.');
-    if (dot == std::string::npos) return false;
+    op.input_index = in.u64(body.substr(1), "operand input");
+  } else if (body.starts_with('d') && dot != body.npos) {
     op.src = RevampOperand::Src::kDmr;
-    return parse_size(body.substr(1, dot - 1), op.dmr_row) &&
-           parse_size(body.substr(dot + 1), op.dmr_col);
+    op.dmr_row = in.u64(body.substr(1, dot - 1), "operand row");
+    op.dmr_col = in.u64(body.substr(dot + 1), "operand column");
+  } else {
+    in.fail("bad operand '" + std::string(tok) + "'");
   }
-  return false;
-}
-
-std::optional<ParsedProgram> fail(std::string* error, std::size_t line_no,
-                                  const std::string& what) {
-  if (error != nullptr) {
-    std::ostringstream os;
-    os << "cim-prog-v1 parse error at line " << line_no << ": " << what;
-    *error = os.str();
-  }
-  return std::nullopt;
+  return op;
 }
 
 }  // namespace
@@ -175,21 +140,22 @@ void dump_program(std::ostream& os, const RevampProgram& prog) {
   }
 }
 
-std::optional<ParsedProgram> parse_program(std::istream& is,
-                                           std::string* error) {
+ParsedProgram parse_program(std::istream& is) {
+  rio::LineReader in("cim-prog-v1", is);
   ParsedProgram out;
   bool have_header = false;
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(is, raw)) {
-    ++line_no;
-    const Line line = split(raw);
-    if (line.empty()) continue;
-    const auto& t = line.tokens;
+  std::string_view raw;
+  while (in.next(raw)) {
+    std::vector<std::string_view> t = rio::split(raw);
+    // `#` starts a comment that runs to the end of the line.
+    t.erase(std::find_if(t.begin(), t.end(),
+                         [](std::string_view tok) { return tok[0] == '#'; }),
+            t.end());
+    if (t.empty()) continue;
 
     if (!have_header) {
       if (t.size() != 2 || t[0] != "cim-prog-v1")
-        return fail(error, line_no, "expected 'cim-prog-v1 <family>' header");
+        in.fail("expected 'cim-prog-v1 <family>' header");
       if (t[1] == "imply")
         out.family = ProgramFamily::kImply;
       else if (t[1] == "magic")
@@ -197,20 +163,21 @@ std::optional<ParsedProgram> parse_program(std::istream& is,
       else if (t[1] == "revamp")
         out.family = ProgramFamily::kRevamp;
       else
-        return fail(error, line_no, "unknown family '" + t[1] + "'");
+        in.fail("unknown family '" + std::string(t[1]) + "'");
       have_header = true;
       continue;
     }
 
-    const std::string& kw = line.head();
-    auto size_field = [&](std::size_t& field) {
-      return t.size() == 2 && parse_size(t[1], field);
+    const std::string kw(t[0]);
+    // `<kw> <size>` directives.
+    auto field = [&]() -> std::size_t {
+      if (t.size() != 2) in.fail("bad '" + kw + "'");
+      return in.u64(t[1], kw.c_str());
     };
 
     if (kw == "inputs") {
-      std::size_t v = 0;
-      if (!size_field(v)) return fail(error, line_no, "bad 'inputs'");
-      out.imply.num_inputs = out.magic.num_inputs = out.revamp.num_inputs = v;
+      out.imply.num_inputs = out.magic.num_inputs = out.revamp.num_inputs =
+          field();
       continue;
     }
 
@@ -218,123 +185,100 @@ std::optional<ParsedProgram> parse_program(std::istream& is,
       case ProgramFamily::kImply: {
         auto& p = out.imply;
         if (kw == "cells") {
-          if (!size_field(p.num_cells))
-            return fail(error, line_no, "bad 'cells'");
+          p.num_cells = field();
         } else if (kw == "zero") {
-          if (!size_field(p.zero_cell))
-            return fail(error, line_no, "bad 'zero'");
+          p.zero_cell = field();
         } else if (kw == "false" || kw == "imply") {
           ImplyInstr ins;
           ins.kind = kw == "false" ? ImplyInstr::Kind::kFalse
                                    : ImplyInstr::Kind::kImply;
           const std::size_t operands = kw == "false" ? 1 : 2;
-          if (t.size() < 1 + operands)
-            return fail(error, line_no, "missing operands");
-          if (!parse_size(t[1], ins.dest))
-            return fail(error, line_no, "bad dest cell");
-          if (operands == 2 && !parse_size(t[2], ins.src))
-            return fail(error, line_no, "bad src cell");
-          if (t.size() > 1 + operands &&
-              !parse_node(t[1 + operands], ins.def_node))
-            return fail(error, line_no, "bad node annotation");
+          if (t.size() < 1 + operands) in.fail("missing operands");
+          if (t.size() > 2 + operands) in.fail("trailing tokens");
+          ins.dest = in.u64(t[1], "dest cell");
+          if (operands == 2) ins.src = in.u64(t[2], "src cell");
+          if (t.size() == 2 + operands)
+            ins.def_node = parse_node(in, t[1 + operands]);
           p.instrs.push_back(ins);
         } else if (kw == "output") {
-          std::size_t c = 0;
-          if (!size_field(c)) return fail(error, line_no, "bad 'output'");
-          p.output_cells.push_back(c);
+          p.output_cells.push_back(field());
         } else {
-          return fail(error, line_no, "unknown directive '" + kw + "'");
+          in.fail("unknown directive '" + kw + "'");
         }
         break;
       }
       case ProgramFamily::kMagic: {
         auto& p = out.magic;
         if (kw == "cells") {
-          if (!size_field(p.num_cells))
-            return fail(error, line_no, "bad 'cells'");
+          p.num_cells = field();
         } else if (kw == "set" || kw == "nor") {
           MagicInstr ins;
           ins.kind =
               kw == "set" ? MagicInstr::Kind::kSet : MagicInstr::Kind::kNor;
-          if (t.size() < 2 || !parse_size(t[1], ins.out_cell))
-            return fail(error, line_no, "bad out cell");
+          if (t.size() < 2) in.fail("missing out cell");
+          ins.out_cell = in.u64(t[1], "out cell");
           std::size_t k = 2;
-          for (; k < t.size() && t[k][0] != '@'; ++k) {
-            std::size_t c = 0;
-            if (!parse_size(t[k], c))
-              return fail(error, line_no, "bad input cell");
-            ins.in_cells.push_back(c);
-          }
-          if (k < t.size() && !parse_node(t[k], ins.node))
-            return fail(error, line_no, "bad node annotation");
+          for (; k < t.size() && t[k][0] != '@'; ++k)
+            ins.in_cells.push_back(in.u64(t[k], "input cell"));
+          if (k < t.size()) ins.node = parse_node(in, t[k++]);
+          if (k < t.size()) in.fail("trailing tokens");
           if (ins.kind == MagicInstr::Kind::kNor && ins.in_cells.empty())
-            return fail(error, line_no, "nor without inputs");
+            in.fail("nor without inputs");
+          if (ins.kind == MagicInstr::Kind::kSet && !ins.in_cells.empty())
+            in.fail("set takes no input cells");
           p.instrs.push_back(std::move(ins));
         } else if (kw == "output") {
-          if (t.size() == 3 && t[1] == "const") {
-            p.output_cells.push_back(0);
-            p.output_is_const.push_back(true);
-            p.const_values.push_back(t[2] == "1");
-          } else {
-            std::size_t c = 0;
-            if (!size_field(c)) return fail(error, line_no, "bad 'output'");
-            p.output_cells.push_back(c);
-            p.output_is_const.push_back(false);
-            p.const_values.push_back(false);
-          }
+          const bool is_const = t.size() == 3 && t[1] == "const";
+          if (is_const && t[2] != "0" && t[2] != "1")
+            in.fail("bad constant output '" + std::string(t[2]) + "'");
+          p.output_cells.push_back(is_const ? 0 : field());
+          p.output_is_const.push_back(is_const);
+          p.const_values.push_back(is_const && t[2] == "1");
         } else {
-          return fail(error, line_no, "unknown directive '" + kw + "'");
+          in.fail("unknown directive '" + kw + "'");
         }
         break;
       }
       case ProgramFamily::kRevamp: {
         auto& p = out.revamp;
         if (kw == "wordlines") {
-          if (!size_field(p.wordlines))
-            return fail(error, line_no, "bad 'wordlines'");
+          p.wordlines = field();
         } else if (kw == "bitlines") {
-          if (!size_field(p.bitlines))
-            return fail(error, line_no, "bad 'bitlines'");
+          p.bitlines = field();
+          if (p.bitlines > kMaxBitlines) in.fail("too many bitlines");
         } else if (kw == "read") {
           RevampInstruction ins;
           ins.kind = RevampInstruction::Kind::kRead;
-          if (t.size() != 2 || !parse_size(t[1], ins.wordline))
-            return fail(error, line_no, "bad 'read'");
+          ins.wordline = field();
           p.instrs.push_back(std::move(ins));
         } else if (kw == "apply") {
           RevampInstruction ins;
           ins.kind = RevampInstruction::Kind::kApply;
-          if (t.size() < 3 || !parse_size(t[1], ins.wordline))
-            return fail(error, line_no, "bad 'apply' wordline");
-          if (!parse_operand(t[2], ins.wl))
-            return fail(error, line_no, "bad wordline operand");
+          if (t.size() < 3) in.fail("missing 'apply' operands");
+          ins.wordline = in.u64(t[1], "wordline");
+          ins.wl = parse_operand(in, t[2]);
           ins.columns.assign(p.bitlines, std::nullopt);
           for (std::size_t k = 3; k < t.size(); ++k) {
             const auto eq = t[k].find('=');
-            if (eq == std::string::npos)
-              return fail(error, line_no, "expected <col>=<operand>");
-            std::size_t col = 0;
-            RevampOperand op;
-            if (!parse_size(t[k].substr(0, eq), col) ||
-                !parse_operand(t[k].substr(eq + 1), op))
-              return fail(error, line_no, "bad column operand");
+            if (eq == std::string_view::npos)
+              in.fail("expected <col>=<operand>");
+            const std::size_t col = in.u64(t[k].substr(0, eq), "column");
+            if (col >= kMaxBitlines) in.fail("column out of range");
             if (col >= ins.columns.size()) ins.columns.resize(col + 1);
-            ins.columns[col] = op;
+            ins.columns[col] = parse_operand(in, t[k].substr(eq + 1));
           }
           p.instrs.push_back(std::move(ins));
         } else if (kw == "output") {
-          RevampOperand op;
-          if (t.size() != 2 || !parse_operand(t[1], op))
-            return fail(error, line_no, "bad 'output'");
-          p.outputs.push_back(op);
+          if (t.size() != 2) in.fail("bad 'output'");
+          p.outputs.push_back(parse_operand(in, t[1]));
         } else {
-          return fail(error, line_no, "unknown directive '" + kw + "'");
+          in.fail("unknown directive '" + kw + "'");
         }
         break;
       }
     }
   }
-  if (!have_header) return fail(error, line_no, "empty stream");
+  if (!have_header) in.fail("empty stream");
   return out;
 }
 

@@ -27,8 +27,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
-#include <string>
 
 #include "eda/imply_mapper.hpp"
 #include "eda/magic_mapper.hpp"
@@ -51,9 +49,8 @@ void dump_program(std::ostream& os, const ImplyProgram& prog);
 void dump_program(std::ostream& os, const MagicProgram& prog);
 void dump_program(std::ostream& os, const RevampProgram& prog);
 
-/// Parses a `cim-prog-v1` stream. Returns std::nullopt and sets `error`
-/// (when non-null) on malformed input.
-std::optional<ParsedProgram> parse_program(std::istream& is,
-                                           std::string* error = nullptr);
+/// Parses a `cim-prog-v1` stream; throws util::record_io::ParseError on
+/// malformed input (never returns a partial program).
+ParsedProgram parse_program(std::istream& is);
 
 }  // namespace cim::eda::verify

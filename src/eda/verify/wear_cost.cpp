@@ -1,7 +1,6 @@
 #include "eda/verify/wear_cost.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -9,6 +8,7 @@
 
 #include "eda/truth_table.hpp"
 #include "obs/obs.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::eda::verify {
 namespace {
@@ -319,27 +319,7 @@ WearCertificate certify_wear(const ProgramAccess& access,
 
 namespace {
 
-void json_escape(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
+using util::record_io::json_escape;
 
 void json_zeros(std::ostream& os, std::size_t n) {
   os << "[";
@@ -362,19 +342,16 @@ void json_counts(std::ostream& os, const std::vector<T>& v) {
 void write_static_wear_json(std::ostream& os,
                             const std::vector<StaticWearEntry>& entries) {
   const obs::BuildInfo info = obs::build_info();
-  os << "{\"meta\":{\"git_sha\":";
-  json_escape(os, info.git_sha);
-  os << ",\"build_type\":";
-  json_escape(os, info.build_type);
-  os << ",\"schema\":\"cim-health-heatmap-v1\"},\"arrays\":[";
+  os << "{\"meta\":{\"git_sha\":\"" << json_escape(info.git_sha)
+     << "\",\"build_type\":\"" << json_escape(info.build_type)
+     << "\",\"schema\":\"cim-health-heatmap-v1\"},\"arrays\":[";
   bool first = true;
   for (const auto& e : entries) {
     if (e.access == nullptr) continue;
     const auto& a = *e.access;
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":";
-    json_escape(os, e.name);
+    os << "{\"name\":\"" << json_escape(e.name) << '"';
     os << ",\"rows\":" << a.rows << ",\"cols\":" << a.cols;
     os << ",\"wear\":";
     json_counts(os, a.write_bound);

@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 
 #include "exp/worker.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::exp {
 
@@ -213,13 +215,11 @@ CampaignManifest make_manifest(const CampaignConfig& cfg, std::uint64_t fp,
   return m;
 }
 
+/// A positive integer knob; unset, zero or malformed keeps `fallback`.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  if (const char* e = std::getenv(name); e != nullptr && *e != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(e, &end, 10);
-    if (end != e && *end == '\0' && v > 0) return v;
-  }
-  return fallback;
+  const char* e = std::getenv(name);
+  const auto v = e != nullptr ? util::record_io::parse_u64(e) : std::nullopt;
+  return v && *v > 0 ? *v : fallback;
 }
 
 }  // namespace
@@ -235,12 +235,9 @@ CampaignConfig apply_env(CampaignConfig cfg) {
   cfg.max_trials = env_u64("CIM_EXP_MAX_TRIALS", cfg.max_trials);
   cfg.checkpoint_every_rounds =
       env_u64("CIM_EXP_CHECKPOINT_EVERY", cfg.checkpoint_every_rounds);
-  if (const char* e = std::getenv("CIM_EXP_CI_TARGET");
-      e != nullptr && *e != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(e, &end);
-    if (end != e && *end == '\0' && v > 0.0) cfg.ci_target = v;
-  }
+  if (const char* e = std::getenv("CIM_EXP_CI_TARGET"); e != nullptr)
+    if (const auto v = util::record_io::parse_f64(e); v && *v > 0.0)
+      cfg.ci_target = *v;
   if (const char* e = std::getenv("CIM_EXP_CHECKPOINT");
       e != nullptr && *e != '\0')
     cfg.checkpoint_path = e;
@@ -368,12 +365,11 @@ CampaignResult run_campaign(const CampaignConfig& cfg_in,
       reg.gauge("exp.cell.trials." + label)
           .set(static_cast<double>(st[c].stat.n));
       reg.gauge("exp.cell.ci_half." + label).set(ci);
-      char row[256];
-      std::snprintf(row, sizeof(row), "%llu,%zu,%s,%llu,%.17g,%.17g,%d\n",
-                    static_cast<unsigned long long>(round), c, label.c_str(),
-                    static_cast<unsigned long long>(st[c].stat.n),
-                    st[c].stat.mean, ci, st[c].frozen ? 1 : 0);
-      conv_rows.emplace_back(row);
+      conv_rows.push_back(std::to_string(round) + ',' + std::to_string(c) +
+                          ',' + label + ',' + std::to_string(st[c].stat.n) +
+                          ',' + util::record_io::g17(st[c].stat.mean) + ',' +
+                          util::record_io::g17(ci) + ',' +
+                          (st[c].frozen ? '1' : '0') + '\n');
     }
 
     if (cfg.progress)

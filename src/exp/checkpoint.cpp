@@ -1,81 +1,62 @@
 #include "exp/checkpoint.hpp"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
+#include <vector>
 
 #include "obs/obs.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::exp {
 
 namespace {
 
+namespace rio = util::record_io;
+
 constexpr std::string_view kMagic = "cim-campaign-v1";
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::runtime_error("cim-campaign-v1: line " + std::to_string(line_no) +
-                           ": " + what);
-}
-
-/// Tolerate CRLF transports: manifests are text and may cross filesystems.
-std::string_view strip_trailing(std::string_view line) {
-  while (!line.empty() && (line.back() == '\r' || line.back() == ' '))
-    line.remove_suffix(1);
-  return line;
-}
-
-/// Splits off the next space-separated token; empty when exhausted.
-std::string_view next_token(std::string_view& rest) {
-  while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-  const std::size_t sp = rest.find(' ');
-  std::string_view tok = rest.substr(0, sp);
-  rest = sp == std::string_view::npos ? std::string_view{}
-                                      : rest.substr(sp + 1);
-  return tok;
-}
-
-std::uint64_t parse_u64(std::string_view tok, std::size_t line_no,
-                        const char* what, int base = 10) {
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(buf.c_str(), &end, base);
-  if (buf.empty() || end != buf.c_str() + buf.size() || errno == ERANGE)
-    fail(line_no, std::string("bad ") + what + " '" + buf + "'");
-  return v;
-}
-
-double parse_double(std::string_view tok, std::size_t line_no,
-                    const char* what) {
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (buf.empty() || end != buf.c_str() + buf.size())
-    fail(line_no, std::string("bad ") + what + " '" + buf + "'");
-  return v;
-}
-
-/// Expects `tok` to equal `kw`; the keyword-value line grammar is rigid so
+/// One record's tokens — a head keyword, bare arguments and `<kw> <value>`
+/// pairs — consumed strictly in order. The grammar is rigid so
 /// the dump -> parse -> dump fixpoint is trivially checkable.
-void expect_kw(std::string_view tok, std::string_view kw,
-               std::size_t line_no) {
-  if (tok != kw)
-    fail(line_no, "expected '" + std::string(kw) + "', got '" +
-                      std::string(tok) + "'");
-}
+class Fields {
+ public:
+  Fields(const rio::LineReader& in, std::string_view line)
+      : in_(in), t_(rio::split(line)) {}
 
-/// %.17g: shortest text that round-trips any finite double exactly.
-std::string g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+  std::string_view arg(const char* what) {
+    if (i_ >= t_.size()) in_.fail(std::string("missing ") + what);
+    return t_[i_++];
+  }
+  std::string_view value(const char* kw) {
+    const std::string_view got = i_ < t_.size() ? t_[i_] : std::string_view{};
+    if (got != kw)
+      in_.fail("expected '" + std::string(kw) + "', got '" +
+               std::string(got) + "'");
+    ++i_;
+    return arg(kw);
+  }
+  std::uint64_t u64(const char* kw, int base = 10) {
+    return in_.u64(value(kw), kw, base);
+  }
+  double f64(const char* kw) { return in_.f64(value(kw), kw); }
+  bool flag(const char* kw) {
+    const std::string_view v = value(kw);
+    if (v != "0" && v != "1")
+      in_.fail(std::string("bad ") + kw + " flag '" + std::string(v) + "'");
+    return v == "1";
+  }
+  void end() const {
+    if (i_ != t_.size()) in_.fail("trailing tokens");
+  }
+
+ private:
+  const rio::LineReader& in_;
+  std::vector<std::string_view> t_;
+  std::size_t i_ = 0;
+};
 
 }  // namespace
 
@@ -107,10 +88,11 @@ void dump_manifest(std::ostream& os, const CampaignManifest& m) {
   os << "state rounds " << m.rounds << " trials " << m.total_trials << '\n';
   for (std::size_t i = 0; i < m.cell_state.size(); ++i) {
     const CellCheckpoint& c = m.cell_state[i];
-    os << "cell " << i << " count " << c.stat.n << " mean " << g17(c.stat.mean)
-       << " m2 " << g17(c.stat.m2) << " min " << g17(c.stat.min) << " max "
-       << g17(c.stat.max) << " cursor " << c.cursor << " frozen "
-       << (c.frozen ? 1 : 0) << " capped " << (c.capped ? 1 : 0) << '\n';
+    os << "cell " << i << " count " << c.stat.n << " mean "
+       << rio::g17(c.stat.mean) << " m2 " << rio::g17(c.stat.m2) << " min "
+       << rio::g17(c.stat.min) << " max " << rio::g17(c.stat.max)
+       << " cursor " << c.cursor << " frozen " << (c.frozen ? 1 : 0)
+       << " capped " << (c.capped ? 1 : 0) << '\n';
   }
   os << "end\n";
 }
@@ -122,108 +104,72 @@ std::string manifest_to_string(const CampaignManifest& m) {
 }
 
 CampaignManifest parse_manifest(std::string_view text) {
+  rio::LineReader in(std::string(kMagic), text);
+  std::string_view line;
+  if (!in.next(line)) in.fail("empty input");
+  if (line != kMagic) in.fail("bad magic '" + std::string(line) + "'");
+
   CampaignManifest m;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
   bool saw_campaign = false;
   bool saw_state = false;
   bool saw_end = false;
-  std::size_t next_cell = 0;
-
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    std::string_view line = strip_trailing(
-        text.substr(pos, nl == std::string_view::npos ? nl : nl - pos));
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++line_no;
-    if (line_no == 1) {
-      if (line.empty() && nl == std::string_view::npos) break;  // empty input
-      if (line != kMagic)
-        fail(line_no, "bad magic '" + std::string(line) + "'");
-      continue;
-    }
-    if (line.empty()) {
-      if (nl == std::string_view::npos) break;  // trailing newline
-      continue;
-    }
-    if (saw_end) fail(line_no, "content after 'end'");
-
-    std::string_view rest = line;
-    const std::string_view kw = next_token(rest);
+  while (in.next(line)) {
+    if (line.empty()) continue;
+    if (saw_end) in.fail("content after 'end'");
+    Fields f(in, line);
+    const std::string_view kw = f.arg("record");
     if (kw == "campaign") {
-      if (saw_campaign) fail(line_no, "duplicate 'campaign' line");
-      m.name = std::string(next_token(rest));
-      if (m.name.empty()) fail(line_no, "missing campaign name");
-      expect_kw(next_token(rest), "seed", line_no);
-      m.seed = parse_u64(next_token(rest), line_no, "seed");
-      expect_kw(next_token(rest), "cells", line_no);
-      m.cells = static_cast<std::size_t>(
-          parse_u64(next_token(rest), line_no, "cell count"));
-      expect_kw(next_token(rest), "block", line_no);
-      m.block = parse_u64(next_token(rest), line_no, "block");
-      expect_kw(next_token(rest), "fingerprint", line_no);
-      m.fingerprint =
-          parse_u64(next_token(rest), line_no, "fingerprint", 16);
-      if (!rest.empty()) fail(line_no, "trailing tokens");
+      if (saw_campaign) in.fail("duplicate 'campaign' line");
+      m.name = std::string(f.arg("campaign name"));
+      m.seed = f.u64("seed");
+      m.cells = f.u64("cells");
+      m.block = f.u64("block");
+      m.fingerprint = f.u64("fingerprint", 16);
+      f.end();
       if (m.fingerprint !=
           campaign_fingerprint(m.name, m.seed, m.cells, m.block))
-        fail(line_no, "fingerprint does not match campaign identity");
+        in.fail("fingerprint does not match campaign identity");
       saw_campaign = true;
     } else if (kw == "state") {
-      if (!saw_campaign) fail(line_no, "'state' before 'campaign'");
-      if (saw_state) fail(line_no, "duplicate 'state' line");
-      expect_kw(next_token(rest), "rounds", line_no);
-      m.rounds = parse_u64(next_token(rest), line_no, "rounds");
-      expect_kw(next_token(rest), "trials", line_no);
-      m.total_trials = parse_u64(next_token(rest), line_no, "trials");
-      if (!rest.empty()) fail(line_no, "trailing tokens");
+      if (!saw_campaign) in.fail("'state' before 'campaign'");
+      if (saw_state) in.fail("duplicate 'state' line");
+      m.rounds = f.u64("rounds");
+      m.total_trials = f.u64("trials");
+      f.end();
       saw_state = true;
     } else if (kw == "cell") {
-      if (!saw_state) fail(line_no, "'cell' before 'state'");
-      const std::uint64_t idx =
-          parse_u64(next_token(rest), line_no, "cell index");
-      if (idx != next_cell)
-        fail(line_no, "cell index " + std::to_string(idx) + ", expected " +
-                          std::to_string(next_cell));
-      if (idx >= m.cells) fail(line_no, "cell index out of range");
+      if (!saw_state) in.fail("'cell' before 'state'");
+      const std::uint64_t idx = in.u64(f.arg("cell index"), "cell index");
+      if (idx != m.cell_state.size())
+        in.fail("cell index " + std::to_string(idx) + ", expected " +
+                std::to_string(m.cell_state.size()));
+      if (idx >= m.cells) in.fail("cell index out of range");
       CellCheckpoint c;
-      expect_kw(next_token(rest), "count", line_no);
-      c.stat.n = parse_u64(next_token(rest), line_no, "count");
-      expect_kw(next_token(rest), "mean", line_no);
-      c.stat.mean = parse_double(next_token(rest), line_no, "mean");
-      expect_kw(next_token(rest), "m2", line_no);
-      c.stat.m2 = parse_double(next_token(rest), line_no, "m2");
-      expect_kw(next_token(rest), "min", line_no);
-      c.stat.min = parse_double(next_token(rest), line_no, "min");
-      expect_kw(next_token(rest), "max", line_no);
-      c.stat.max = parse_double(next_token(rest), line_no, "max");
-      expect_kw(next_token(rest), "cursor", line_no);
-      c.cursor = parse_u64(next_token(rest), line_no, "cursor");
-      expect_kw(next_token(rest), "frozen", line_no);
-      c.frozen = parse_u64(next_token(rest), line_no, "frozen flag") != 0;
-      expect_kw(next_token(rest), "capped", line_no);
-      c.capped = parse_u64(next_token(rest), line_no, "capped flag") != 0;
-      if (!rest.empty()) fail(line_no, "trailing tokens");
-      if (c.cursor < c.stat.n)
-        fail(line_no, "cursor behind trial count");
+      c.stat.n = f.u64("count");
+      c.stat.mean = f.f64("mean");
+      c.stat.m2 = f.f64("m2");
+      c.stat.min = f.f64("min");
+      c.stat.max = f.f64("max");
+      c.cursor = f.u64("cursor");
+      c.frozen = f.flag("frozen");
+      c.capped = f.flag("capped");
+      f.end();
+      if (c.cursor < c.stat.n) in.fail("cursor behind trial count");
       m.cell_state.push_back(c);
-      ++next_cell;
     } else if (kw == "end") {
-      if (!saw_state) fail(line_no, "'end' before 'state'");
-      if (!rest.empty()) fail(line_no, "trailing tokens");
+      if (!saw_state) in.fail("'end' before 'state'");
+      f.end();
       saw_end = true;
     } else {
-      fail(line_no, "unknown record '" + std::string(kw) + "'");
+      in.fail("unknown record '" + std::string(kw) + "'");
     }
-    if (nl == std::string_view::npos) break;
   }
 
-  if (!saw_campaign) throw std::runtime_error("cim-campaign-v1: empty input");
-  if (!saw_end) fail(line_no, "missing 'end' trailer");
+  if (!saw_campaign) in.fail("missing 'campaign' line");
+  if (!saw_end) in.fail("missing 'end' trailer");
   if (m.cell_state.size() != m.cells)
-    fail(line_no, "have " + std::to_string(m.cell_state.size()) +
-                      " cell lines, campaign declares " +
-                      std::to_string(m.cells));
+    in.fail("have " + std::to_string(m.cell_state.size()) +
+            " cell lines, campaign declares " + std::to_string(m.cells));
   return m;
 }
 

@@ -14,9 +14,9 @@
 /// uninterrupted run (tests/exp/test_crash_resume.cpp SIGKILLs campaigns
 /// mid-flight to prove it).
 ///
-/// The format follows the repo's text-manifest conventions (serve/trace_io):
-/// a magic first line, one record per line, doubles at %.17g so
-/// dump -> parse -> dump is a fixpoint, atomic writes via
+/// The format follows the repo's text-format rules (util/record_io.hpp,
+/// DESIGN.md "Text formats"): a magic first line, one record per line,
+/// exact doubles so dump -> parse -> dump is a fixpoint, atomic writes via
 /// obs::write_file_atomic so readers only ever see a complete file.
 ///
 ///   cim-campaign-v1
@@ -65,13 +65,13 @@ struct CampaignManifest {
 std::uint64_t campaign_fingerprint(std::string_view name, std::uint64_t seed,
                                    std::size_t cells, std::uint64_t block);
 
-/// Serializes `m` in the format above (doubles at %.17g).
+/// Serializes `m` in the format above.
 void dump_manifest(std::ostream& os, const CampaignManifest& m);
 std::string manifest_to_string(const CampaignManifest& m);
 
-/// Parses a manifest; throws std::runtime_error with a line-numbered
-/// message on malformed input (bad magic, missing sections, cell-count
-/// mismatch, out-of-order cell indices, fingerprint/identity mismatch).
+/// Parses a manifest; throws util::record_io::ParseError on malformed input
+/// (bad magic, missing sections, bad numbers or flags, cell-count mismatch,
+/// out-of-order cell indices, fingerprint/identity mismatch).
 CampaignManifest parse_manifest(std::string_view text);
 
 /// Atomic (tmp + rename) write of `m` to `path`; false on I/O failure.

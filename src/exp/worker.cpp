@@ -2,10 +2,12 @@
 
 #include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -14,6 +16,7 @@
 #include <unistd.h>
 
 #include "obs/obs.hpp"
+#include "util/record_io.hpp"
 #include "util/thread_pool.hpp"
 
 extern char** environ;
@@ -25,6 +28,8 @@ const char* const kWorkerFdsEnv = "CIM_EXP_WORKER_FDS";
 bool in_worker_mode() { return std::getenv(kWorkerFdsEnv) != nullptr; }
 
 namespace {
+
+namespace rio = util::record_io;
 
 /// Full write with EINTR retry; SIGPIPE is ignored so a dead peer surfaces
 /// as EPIPE instead of killing the process.
@@ -45,76 +50,56 @@ bool write_all(int fd, const std::string& s) {
   return write_all(fd, s.data(), s.size());
 }
 
-/// Buffered line reader over a raw fd. Returns false on EOF/error with no
-/// complete line pending.
-bool read_line_fd(int fd, std::string& buf, std::string& out) {
-  for (;;) {
-    const std::size_t nl = buf.find('\n');
-    if (nl != std::string::npos) {
-      out.assign(buf, 0, nl);
-      if (!out.empty() && out.back() == '\r') out.pop_back();
-      buf.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t r = ::read(fd, chunk, sizeof(chunk));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;
-    buf.append(chunk, static_cast<std::size_t>(r));
+/// Appends one read() chunk from `fd` to `buf`, retrying EINTR; false on
+/// EOF or error.
+bool read_chunk(int fd, std::string& buf) {
+  char chunk[4096];
+  ssize_t r;
+  while ((r = ::read(fd, chunk, sizeof(chunk))) < 0 && errno == EINTR) {
   }
+  if (r <= 0) return false;
+  buf.append(chunk, static_cast<std::size_t>(r));
+  return true;
+}
+
+/// Buffered line reader over a raw fd, applying the shared trailing-
+/// whitespace rule. Returns false on EOF/error with no complete line
+/// pending.
+bool read_line_fd(int fd, std::string& buf, std::string& out) {
+  std::size_t nl;
+  while ((nl = buf.find('\n')) == std::string::npos)
+    if (!read_chunk(fd, buf)) return false;
+  out.assign(rio::rstrip(std::string_view(buf).substr(0, nl)));
+  buf.erase(0, nl + 1);
+  return true;
 }
 
 bool read_exact_fd(int fd, std::string& buf, std::string& out,
                    std::size_t n) {
-  while (buf.size() < n) {
-    char chunk[4096];
-    const ssize_t r = ::read(fd, chunk, sizeof(chunk));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;
-    buf.append(chunk, static_cast<std::size_t>(r));
-  }
+  while (buf.size() < n)
+    if (!read_chunk(fd, buf)) return false;
   out.assign(buf, 0, n);
   buf.erase(0, n);
   return true;
 }
 
-/// %.17g round-trips every finite double exactly (the same contract the
-/// snapshot exporter and cim-campaign-v1 manifests rely on).
-void append_g17(std::string& s, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  s += buf;
-}
-
-bool parse_stat_line(std::string_view line, obs::StreamStat& st) {
-  // "stat <n> <mean> <m2> <min> <max>"
-  std::string tmp(line);
-  char* cur = tmp.data();
-  if (std::strncmp(cur, "stat ", 5) != 0) return false;
-  cur += 5;
-  char* end = nullptr;
-  errno = 0;
-  st.n = std::strtoull(cur, &end, 10);
-  if (end == cur) return false;
-  double* fields[4] = {&st.mean, &st.m2, &st.min, &st.max};
-  for (double* f : fields) {
-    cur = end;
-    *f = std::strtod(cur, &end);
-    if (end == cur) return false;
-  }
-  while (*end == ' ') ++end;
-  return *end == '\0';
-}
-
 void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 
 }  // namespace
+
+bool parse_stat_line(std::string_view line, obs::StreamStat& st) {
+  // "stat <n> <mean> <m2> <min> <max>"
+  const std::vector<std::string_view> t = rio::split(line);
+  if (t.size() != 6 || t[0] != "stat") return false;
+  const auto n = rio::parse_u64(t[1]);
+  const auto mean = rio::parse_f64(t[2]);
+  const auto m2 = rio::parse_f64(t[3]);
+  const auto min = rio::parse_f64(t[4]);
+  const auto max = rio::parse_f64(t[5]);
+  if (!n || !mean || !m2 || !min || !max) return false;
+  st = {*n, *mean, *m2, *min, *max};
+  return true;
+}
 
 // --- parent side -------------------------------------------------------------
 
@@ -264,11 +249,10 @@ bool WorkerPool::collect_snapshot(std::size_t child, std::string& json_out) {
   if (!write_line(p, "snapshot")) return false;
   std::string line;
   if (!read_line(p, line)) return false;
-  if (line.rfind("snapshot ", 0) != 0) return false;
-  char* end = nullptr;
-  const unsigned long long len = std::strtoull(line.c_str() + 9, &end, 10);
-  if (end == line.c_str() + 9 || *end != '\0') return false;
-  if (!read_exact(p, json_out, static_cast<std::size_t>(len))) return false;
+  const std::vector<std::string_view> t = rio::split(line);
+  if (t.size() != 2 || t[0] != "snapshot") return false;
+  const auto len = rio::parse_u64(t[1]);
+  if (!len || !read_exact(p, json_out, *len)) return false;
   return read_line(p, line) && line.empty();
 }
 
@@ -304,11 +288,15 @@ void WorkerPool::shutdown() {
     std::uint64_t fingerprint,
     const std::function<obs::StreamStat(const WorkerTask&)>& run_block) {
   ignore_sigpipe();
-  int rfd = -1;
-  int wfd = -1;
-  if (const char* env = std::getenv(kWorkerFdsEnv); env != nullptr)
-    std::sscanf(env, "%d,%d", &rfd, &wfd);
-  if (rfd < 0 || wfd < 0) std::_Exit(125);
+  // CIM_EXP_WORKER_FDS = "<read fd>,<write fd>".
+  const char* env = std::getenv(kWorkerFdsEnv);
+  const std::string_view fds = env != nullptr ? env : "";
+  const std::size_t comma = fds.find(',');
+  const auto rfd = rio::parse_u64(fds.substr(0, comma));
+  const auto wfd = comma == std::string_view::npos
+                       ? std::nullopt
+                       : rio::parse_u64(fds.substr(comma + 1));
+  if (!rfd || !wfd || *rfd > INT_MAX || *wfd > INT_MAX) std::_Exit(125);
 
   // Telemetry from the host main's setup phase is the parent's business;
   // the snapshot shipped back should cover exactly the trials run here.
@@ -319,19 +307,22 @@ void WorkerPool::shutdown() {
   std::vector<WorkerTask> tasks;
   bool accepted = false;
 
-  while (read_line_fd(rfd, rdbuf, line)) {
-    if (line.rfind("begin ", 0) == 0) {
-      char* end = nullptr;
-      const std::uint64_t fp = std::strtoull(line.c_str() + 6, &end, 16);
-      accepted = (end != line.c_str() + 6 && fp == fingerprint);
+  const int in_fd = static_cast<int>(*rfd);
+  const int out_fd = static_cast<int>(*wfd);
+  while (read_line_fd(in_fd, rdbuf, line)) {
+    const std::vector<std::string_view> t = rio::split(line);
+    const std::string_view head = t.empty() ? "" : t[0];
+    if (head == "begin") {
+      accepted = t.size() == 2 && rio::parse_u64(t[1], 16) == fingerprint;
       tasks.clear();
-      if (!write_all(wfd, std::string(accepted ? "ack\n" : "nack\n"))) break;
-    } else if (line.rfind("task ", 0) == 0) {
-      if (!accepted) continue;
-      WorkerTask t;
-      if (std::sscanf(line.c_str() + 5, "%zu %" SCNu64 " %" SCNu64, &t.cell,
-                      &t.rep_begin, &t.rep_count) == 3)
-        tasks.push_back(t);
+      if (!write_all(out_fd, std::string(accepted ? "ack\n" : "nack\n")))
+        break;
+    } else if (head == "task") {
+      if (!accepted || t.size() != 4) continue;
+      const auto cell = rio::parse_u64(t[1]);
+      const auto begin = rio::parse_u64(t[2]);
+      const auto count = rio::parse_u64(t[3]);
+      if (cell && begin && count) tasks.push_back({*cell, *begin, *count});
     } else if (line == "run") {
       if (!accepted) continue;
       std::vector<obs::StreamStat> results(tasks.size());
@@ -341,21 +332,13 @@ void WorkerPool::shutdown() {
       std::string msg;
       msg.reserve(results.size() * 96 + 8);
       for (const obs::StreamStat& st : results) {
-        msg += "stat ";
-        msg += std::to_string(st.n);
-        msg += ' ';
-        append_g17(msg, st.mean);
-        msg += ' ';
-        append_g17(msg, st.m2);
-        msg += ' ';
-        append_g17(msg, st.min);
-        msg += ' ';
-        append_g17(msg, st.max);
-        msg += '\n';
+        msg += "stat " + std::to_string(st.n) + ' ' + rio::g17(st.mean) + ' ' +
+               rio::g17(st.m2) + ' ' + rio::g17(st.min) + ' ' +
+               rio::g17(st.max) + '\n';
       }
       msg += "done\n";
       tasks.clear();
-      if (!write_all(wfd, msg)) break;
+      if (!write_all(out_fd, msg)) break;
     } else if (line == "snapshot") {
       std::ostringstream os;
       obs::write_snapshot_json(os, obs::Registry::global().snapshot());
@@ -363,7 +346,7 @@ void WorkerPool::shutdown() {
       std::string msg = "snapshot " + std::to_string(json.size()) + "\n";
       msg += json;
       msg += '\n';
-      if (!write_all(wfd, msg)) break;
+      if (!write_all(out_fd, msg)) break;
     } else if (line == "end") {
       accepted = false;
       tasks.clear();

@@ -18,7 +18,7 @@
 ///   parent -> child    task <cell> <rep_begin> <rep_count>   (repeated)
 ///   parent -> child    run
 ///   child  -> parent   stat <n> <mean> <m2> <min> <max>  (one per task,
-///                      in task order, doubles at %.17g), then:  done
+///                      in task order, exact doubles), then:  done
 ///   parent -> child    snapshot
 ///   child  -> parent   snapshot <len>\n<len JSON bytes>\n
 ///   parent -> child    end        (campaign over; child awaits next begin)
@@ -28,13 +28,15 @@
 /// possible when the host main builds a different campaign first) or any
 /// spawn/handshake failure makes the parent fall back to in-process
 /// execution; results are bit-identical either way because block summaries
-/// are pure functions of (seed, cell, rep range) and %.17g round-trips
-/// doubles exactly.
+/// are pure functions of (seed, cell, rep range) and the pipe carries
+/// doubles exactly (util/record_io.hpp). Every line follows the shared
+/// text rules: trailing CR/space/tab is ignored and numbers are strict.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <sys/types.h>
 #include <vector>
 
@@ -48,6 +50,11 @@ struct WorkerTask {
   std::uint64_t rep_begin = 0;
   std::uint64_t rep_count = 0;
 };
+
+/// Parses a child's `stat <n> <mean> <m2> <min> <max>` reply with the
+/// strict record_io numbers; false (leaving `st` untouched) on any
+/// malformed line.
+bool parse_stat_line(std::string_view line, obs::StreamStat& st);
 
 /// Name of the fd-pair environment variable that marks a worker process.
 extern const char* const kWorkerFdsEnv;

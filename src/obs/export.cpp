@@ -13,34 +13,13 @@
 #include "obs/obs.hpp"
 #include "obs/prom.hpp"
 #include "obs/trace_events.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::obs {
 
 namespace {
 
-/// JSON string escaping for the few metadata strings we emit.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::record_io::json_escape;
 
 /// Formats a double as JSON (no inf/nan — clamp to 0 to stay valid).
 std::string json_num(double v) {
@@ -55,9 +34,7 @@ std::string json_num(double v) {
 /// path (worker-process telemetry aggregation) relies on.
 std::string json_num17(double v) {
   if (!(v > -1e308 && v < 1e308)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return util::record_io::g17(v);
 }
 
 void write_meta_fields(std::ostream& os, const Snapshot::Meta& meta) {

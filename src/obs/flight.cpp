@@ -1,35 +1,13 @@
 #include "obs/flight.hpp"
 
-#include <cstdio>
 #include <ostream>
 
 #include "obs/obs.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::obs {
 
-namespace {
-
-void escape_into(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
+namespace rio = util::record_io;
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
@@ -56,15 +34,12 @@ bool FlightRecorder::dump(
     const std::string& path, const std::string& reason,
     const std::vector<std::pair<std::string, std::string>>& meta) {
   const bool ok = write_file_atomic(path, [&](std::ostream& os) {
-    os << "{\"format\":\"cim-flight-v1\",\"reason\":\"";
-    escape_into(os, reason);
-    os << "\",\"records\":" << size_ << ",\"dropped\":" << dropped_;
+    os << "{\"format\":\"cim-flight-v1\",\"reason\":\""
+       << rio::json_escape(reason) << "\",\"records\":" << size_
+       << ",\"dropped\":" << dropped_;
     for (const auto& [k, v] : meta) {
-      os << ",\"";
-      escape_into(os, k);
-      os << "\":\"";
-      escape_into(os, v);
-      os << "\"";
+      os << ",\"" << rio::json_escape(k) << "\":\"" << rio::json_escape(v)
+         << "\"";
     }
     os << "}\n";
     const std::size_t start = (head_ + capacity_ - size_) % capacity_;

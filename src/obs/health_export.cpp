@@ -3,7 +3,6 @@
 ///        HealthRegistry. Schemas documented in DESIGN.md §8.
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <string>
@@ -13,41 +12,20 @@
 
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::obs {
 
 namespace {
 
-void json_escape(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
+namespace rio = util::record_io;
 
+/// Heatmap policy: exact doubles, non-finite values written as 0.
 void json_num(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "0";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
+  if (std::isfinite(v))
+    os << rio::g17(v);
+  else
+    os << '0';
 }
 
 template <typename T>
@@ -109,18 +87,15 @@ void write_health_heatmap_csv(std::ostream& os) {
 
 void write_health_json(std::ostream& os) {
   const BuildInfo info = build_info();
-  os << "{\"meta\":{\"git_sha\":";
-  json_escape(os, info.git_sha);
-  os << ",\"build_type\":";
-  json_escape(os, info.build_type);
-  os << ",\"schema\":\"cim-health-heatmap-v1\"},\"arrays\":[";
+  os << "{\"meta\":{\"git_sha\":\"" << rio::json_escape(info.git_sha)
+     << "\",\"build_type\":\"" << rio::json_escape(info.build_type)
+     << "\",\"schema\":\"cim-health-heatmap-v1\"},\"arrays\":[";
   bool first = true;
   for (const auto& mon : HealthRegistry::global().monitors()) {
     const HealthMonitor::Snapshot s = mon->snapshot();
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":";
-    json_escape(os, s.name);
+    os << "{\"name\":\"" << rio::json_escape(s.name) << '"';
     os << ",\"rows\":" << s.rows << ",\"cols\":" << s.cols;
     os << ",\"wear\":";
     json_array(os, s.wear);

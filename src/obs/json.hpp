@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cctype>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -15,6 +14,8 @@
 #include <string_view>
 #include <variant>
 #include <vector>
+
+#include "util/record_io.hpp"
 
 namespace cim::obs::json {
 
@@ -234,11 +235,10 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
     if (pos_ == start) fail("expected a number");
-    const std::string tok(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number '" + tok + "'");
-    return Value(d);
+    const std::string_view tok = text_.substr(start, pos_ - start);
+    const auto d = util::record_io::parse_f64(tok);
+    if (!d) fail("malformed number '" + std::string(tok) + "'");
+    return Value(*d);
   }
 
   std::string_view text_;

@@ -476,6 +476,11 @@ struct BuildInfo {
 };
 BuildInfo build_info();
 
+/// The one CIM_THREADS parser: a strict decimal count, capped at 1024;
+/// 0 (meaning "use the hardware default") for null, empty, zero, signed,
+/// padded or otherwise malformed values.
+std::size_t parse_threads(const char* value);
+
 // --- exporters (export.cpp) --------------------------------------------------
 
 /// Crash-safe file export: `writer` streams into `<path>.tmp` which is then

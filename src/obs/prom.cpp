@@ -7,7 +7,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -17,6 +16,7 @@
 
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::obs {
 
@@ -55,9 +55,7 @@ void prom_value(std::ostream& os, double v) {
   } else if (std::isinf(v)) {
     os << (v > 0 ? "+Inf" : "-Inf");
   } else {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    os << util::record_io::g17(v);
   }
 }
 
@@ -348,10 +346,9 @@ std::uint16_t maybe_start_prometheus_from_env() {
   if (mode() == Mode::kOff) return 0;
   const char* env = std::getenv("CIM_OBS_PROM_PORT");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long p = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || p > 65535) return 0;
-  if (!server.start(static_cast<std::uint16_t>(p))) return 0;
+  const auto p = util::record_io::parse_u64(env);
+  if (!p || *p > 65535) return 0;
+  if (!server.start(static_cast<std::uint16_t>(*p))) return 0;
   return server.port();
 }
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "obs/trace_events.hpp"
+#include "util/record_io.hpp"
 #include "util/simd_dispatch.hpp"
 #include <chrono>
 #include <cstdlib>
@@ -306,17 +308,17 @@ std::vector<BreakdownRow> breakdown() {
 #define CIM_BUILD_TYPE "unknown"
 #endif
 
+std::size_t parse_threads(const char* value) {
+  const auto n = value != nullptr ? util::record_io::parse_u64(value)
+                                  : std::nullopt;
+  return n ? static_cast<std::size_t>(std::min<std::uint64_t>(*n, 1024)) : 0;
+}
+
 BuildInfo build_info() {
   BuildInfo info;
   info.git_sha = CIM_GIT_SHA;
   info.build_type = CIM_BUILD_TYPE;
-  info.threads = 0;
-  if (const char* env = std::getenv("CIM_THREADS"); env != nullptr) {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && n > 0)
-      info.threads = static_cast<std::size_t>(std::min(n, 1024ul));
-  }
+  info.threads = parse_threads(std::getenv("CIM_THREADS"));
   if (info.threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     info.threads = hw > 0 ? hw : 1;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,7 @@
 #include "obs/prom.hpp"
 #include "obs/trace_events.hpp"
 #include "serve/reqlog.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::serve {
 
@@ -621,9 +623,8 @@ ServeReport Controller::run(std::span<const Request> requests,
     std::uint64_t cur_rej_count = 0;
     auto dump_flight = [&](const char* reason, double t_ns) {
       if (!flight_on || flight_dumped) return;
-      char at[64];
-      std::snprintf(at, sizeof at, "%.17g", t_ns);
-      if (flight.dump(cfg_.flight_dump_path, reason, {{"t_ns", at}}))
+      if (flight.dump(cfg_.flight_dump_path, reason,
+                      {{"t_ns", util::record_io::g17(t_ns)}}))
         ++st.flight_dumps;
       flight_dumped = true;  // first trigger wins; one post-mortem per run
     };
@@ -727,17 +728,16 @@ namespace {
 
 bool env_double(const char* name, double& out) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  if (end == v || *end != '\0') return false;
-  out = d;
-  return true;
+  const auto d = v != nullptr ? util::record_io::parse_f64(v) : std::nullopt;
+  if (d) out = *d;
+  return d.has_value();
 }
 
+/// Size knobs go through the double parser so `1e3` means 1000; values
+/// outside [0, 2^64) (including NaN) are ignored.
 bool env_size(const char* name, std::size_t& out) {
   double d = 0.0;
-  if (!env_double(name, d) || d < 0.0) return false;
+  if (!env_double(name, d) || !(d >= 0.0 && d < 0x1p64)) return false;
   out = static_cast<std::size_t>(d);
   return true;
 }

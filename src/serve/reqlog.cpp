@@ -1,15 +1,16 @@
 #include "serve/reqlog.hpp"
 
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::serve {
 
@@ -17,13 +18,7 @@ namespace {
 
 constexpr const char* kHeaderFormat = "cim-reqlog-v1";
 
-/// %.17g: shortest-or-exact round trip for IEEE doubles — the fixpoint
-/// contract of the format (and of cim-trace-v1, trace_io.cpp).
-void num(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
-}
+namespace rio = util::record_io;
 
 void write_completion_line(std::ostream& os, const Completion& c) {
   os << "{\"event\":\"done\",\"id\":" << c.id << ",\"kind\":\""
@@ -36,18 +31,14 @@ void write_completion_line(std::ostream& os, const Completion& c) {
       {"done_ns", c.done_ns},             {"batch_wait_ns", c.batch_wait_ns},
       {"queue_wait_ns", c.queue_wait_ns}, {"issue_wait_ns", c.issue_wait_ns},
       {"bitserial_ns", c.bitserial_ns},   {"reduce_ns", c.reduce_ns}};
-  for (const auto& [k, v] : fields) {
-    os << ",\"" << k << "\":";
-    num(os, v);
-  }
+  for (const auto& [k, v] : fields) os << ",\"" << k << "\":" << rio::g17(v);
   os << "}\n";
 }
 
 void write_rejection_line(std::ostream& os, const Rejection& r) {
   os << "{\"event\":\"rejected\",\"id\":" << r.id << ",\"kind\":\""
-     << kind_name(r.kind) << "\",\"arrival_ns\":";
-  num(os, r.arrival_ns);
-  os << "}\n";
+     << kind_name(r.kind) << "\",\"arrival_ns\":" << rio::g17(r.arrival_ns)
+     << "}\n";
 }
 
 void write_lines(std::ostream& os, const std::vector<Completion>& completions,
@@ -59,28 +50,60 @@ void write_lines(std::ostream& os, const std::vector<Completion>& completions,
   for (const Rejection& r : rejections) write_rejection_line(os, r);
 }
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::runtime_error("cim-reqlog-v1: line " + std::to_string(line_no) +
-                           ": " + what);
+// Record decoding throws plain std::runtime_error messages (as the JSON
+// layer does); read_reqlog attaches the line number.
+
+/// An integral field that must fit `T` exactly (ids, counts, labels).
+template <typename T>
+T integer(const obs::json::Value& v, const char* key) {
+  const double d = v.at(key).as_number();
+  // 2^digits is exact in a double: the first value past T's range.
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(d >= static_cast<double>(std::numeric_limits<T>::min()) && d < hi) ||
+      d != std::floor(d))
+    throw std::runtime_error(std::string("bad '") + key + "'");
+  return static_cast<T>(d);
 }
 
-double get_num(const obs::json::Value& v, const char* key,
-               std::size_t line_no) {
-  if (!v.contains(key)) fail(line_no, std::string("missing '") + key + "'");
-  return v.at(key).as_number();
+/// An enum field; `parse` is the inverse of the enum's *_name function.
+template <typename Parse>
+auto named(const obs::json::Value& v, const char* key, Parse parse) {
+  const std::string& s = v.at(key).as_string();
+  if (const auto e = parse(s)) return *e;
+  throw std::runtime_error(std::string("unknown ") + key + " '" + s + "'");
 }
 
-RequestKind parse_kind(const std::string& s, std::size_t line_no) {
-  if (s == "vmm") return RequestKind::kVmm;
-  if (s == "infer") return RequestKind::kInference;
-  fail(line_no, "unknown kind '" + s + "'");
-}
-
-crossbar::FidelityTier parse_tier(const std::string& s, std::size_t line_no) {
-  if (s == "full") return crossbar::FidelityTier::kFull;
-  if (s == "calibrated") return crossbar::FidelityTier::kCalibrated;
-  if (s == "ideal") return crossbar::FidelityTier::kIdeal;
-  fail(line_no, "unknown tier '" + s + "'");
+void read_record(const obs::json::Value& v, ReqLog& log) {
+  if (!v.is_object()) throw std::runtime_error("expected a JSON object");
+  if (!v.contains("event")) throw std::runtime_error("missing 'event'");
+  const std::string& event = v.at("event").as_string();
+  if (event == "done") {
+    Completion c;
+    c.id = integer<std::uint64_t>(v, "id");
+    c.kind = named(v, "kind", parse_kind);
+    c.tier = named(v, "tier", crossbar::parse_tier);
+    c.escalated = v.contains("escalated") && v.at("escalated").as_bool();
+    c.replica = integer<std::size_t>(v, "replica");
+    c.batch_size = integer<std::size_t>(v, "batch");
+    c.label = integer<int>(v, "label");
+    c.arrival_ns = v.at("arrival_ns").as_number();
+    c.dispatch_ns = v.at("dispatch_ns").as_number();
+    c.done_ns = v.at("done_ns").as_number();
+    c.batch_wait_ns = v.at("batch_wait_ns").as_number();
+    c.queue_wait_ns = v.at("queue_wait_ns").as_number();
+    c.issue_wait_ns = v.at("issue_wait_ns").as_number();
+    c.bitserial_ns = v.at("bitserial_ns").as_number();
+    c.reduce_ns = v.at("reduce_ns").as_number();
+    log.completions.push_back(std::move(c));
+  } else if (event == "rejected") {
+    Rejection r;
+    r.id = integer<std::uint64_t>(v, "id");
+    r.kind = named(v, "kind", parse_kind);
+    r.arrival_ns = v.at("arrival_ns").as_number();
+    log.rejections.push_back(r);
+  } else {
+    throw std::runtime_error("unknown event '" + event + "'");
+  }
 }
 
 }  // namespace
@@ -100,62 +123,28 @@ bool write_reqlog_file(const std::string& path, const ServeReport& report) {
 
 ReqLog read_reqlog(std::istream& is) {
   ReqLog log;
-  std::string line;
-  std::size_t line_no = 0;
+  rio::LineReader in(kHeaderFormat, is);
+  std::string_view line;
   bool seen_header = false;
-  while (std::getline(is, line)) {
-    ++line_no;
-    // Tolerate CRLF line endings and trailing whitespace: reqlogs survive
-    // transfer through windows editors and clipboard round trips.
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t'))
-      line.pop_back();
+  while (in.next(line)) {
     if (line.empty()) continue;
-    obs::json::Value v;
     try {
-      v = obs::json::parse(line);
-    } catch (const std::exception& e) {
-      fail(line_no, e.what());
-    }
-    if (!v.is_object()) fail(line_no, "expected a JSON object");
-    if (!seen_header) {
-      if (!v.contains("format") || v.at("format").as_string() != kHeaderFormat)
-        fail(line_no, std::string("expected header {\"format\":\"") +
-                          kHeaderFormat + "\"}");
-      seen_header = true;
-      continue;
-    }
-    if (!v.contains("event")) fail(line_no, "missing 'event'");
-    const std::string& event = v.at("event").as_string();
-    if (event == "done") {
-      Completion c;
-      c.id = static_cast<std::uint64_t>(get_num(v, "id", line_no));
-      c.kind = parse_kind(v.at("kind").as_string(), line_no);
-      c.tier = parse_tier(v.at("tier").as_string(), line_no);
-      c.escalated = v.contains("escalated") && v.at("escalated").as_bool();
-      c.replica = static_cast<std::size_t>(get_num(v, "replica", line_no));
-      c.batch_size = static_cast<std::size_t>(get_num(v, "batch", line_no));
-      c.label = static_cast<int>(get_num(v, "label", line_no));
-      c.arrival_ns = get_num(v, "arrival_ns", line_no);
-      c.dispatch_ns = get_num(v, "dispatch_ns", line_no);
-      c.done_ns = get_num(v, "done_ns", line_no);
-      c.batch_wait_ns = get_num(v, "batch_wait_ns", line_no);
-      c.queue_wait_ns = get_num(v, "queue_wait_ns", line_no);
-      c.issue_wait_ns = get_num(v, "issue_wait_ns", line_no);
-      c.bitserial_ns = get_num(v, "bitserial_ns", line_no);
-      c.reduce_ns = get_num(v, "reduce_ns", line_no);
-      log.completions.push_back(std::move(c));
-    } else if (event == "rejected") {
-      Rejection r;
-      r.id = static_cast<std::uint64_t>(get_num(v, "id", line_no));
-      r.kind = parse_kind(v.at("kind").as_string(), line_no);
-      r.arrival_ns = get_num(v, "arrival_ns", line_no);
-      log.rejections.push_back(r);
-    } else {
-      fail(line_no, "unknown event '" + event + "'");
+      const obs::json::Value v = obs::json::parse(line);
+      if (!seen_header) {
+        if (!v.contains("format") ||
+            v.at("format").as_string() != kHeaderFormat)
+          throw std::runtime_error(
+              std::string("expected header {\"format\":\"") + kHeaderFormat +
+              "\"}");
+        seen_header = true;
+      } else {
+        read_record(v, log);
+      }
+    } catch (const std::runtime_error& e) {
+      in.fail(e.what());
     }
   }
-  if (!seen_header) fail(line_no == 0 ? 1 : line_no, "empty reqlog (no header)");
+  if (!seen_header) in.fail("empty reqlog (no header)");
   return log;
 }
 

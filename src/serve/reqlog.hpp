@@ -5,10 +5,11 @@
 /// The reqlog is the serving layer's post-hoc analysis substrate: one JSON
 /// object per line — a versioned header, then every completion (timing
 /// triple + exact latency decomposition, no result payloads) and every
-/// rejection, both sorted by request id. Doubles are printed with %.17g so
-/// a parse -> dump round trip is byte-identical (the fixpoint the format
-/// tests gate); the file itself is written via `obs::write_file_atomic`,
-/// so an interrupted run never leaves a truncated log. `tools/cim_reqlog`
+/// rejection, both sorted by request id. Doubles are exact (DESIGN.md
+/// "Text formats"), so a parse -> dump round trip is byte-identical (the
+/// fixpoint the format tests gate); the file itself is written via
+/// `obs::write_file_atomic`, so an interrupted run never leaves a
+/// truncated log. `tools/cim_reqlog`
 /// turns a reqlog into decomposition tables and top-k slow-request
 /// attribution.
 ///
@@ -41,8 +42,8 @@ void write_reqlog(std::ostream& os, const ServeReport& report);
 bool write_reqlog_file(const std::string& path, const ServeReport& report);
 
 /// Parses a cim-reqlog-v1 stream. Tolerates CRLF line endings, trailing
-/// whitespace and blank lines; throws std::runtime_error with a 1-based
-/// line number on malformed input.
+/// whitespace and blank lines; throws util::record_io::ParseError on
+/// malformed input.
 ReqLog read_reqlog(std::istream& is);
 ReqLog read_reqlog_file(const std::string& path);
 

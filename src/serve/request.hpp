@@ -4,16 +4,18 @@
 ///
 /// Every bench before PR 8 was a closed loop over one workload; the serving
 /// layer (ROADMAP item 1) instead models *traffic*: an open-loop stream of
-/// timestamped requests (Poisson / MMPP arrivals or a replayed trace file,
-/// serve/traffic.hpp) feeding a CIM memory controller
-/// (serve/controller.hpp) that queues, coalesces and dispatches them onto a
-/// pool of tile replicas. All timestamps are **simulated** nanoseconds on
-/// the same clock the tiles account their bit-serial cycles in, so latency
-/// distributions are bit-identical for any host speed and thread count —
-/// the repo-wide determinism contract extended to queueing.
+/// timestamped requests (Poisson / MMPP arrivals, serve/traffic.hpp)
+/// feeding a CIM memory controller (serve/controller.hpp) that queues,
+/// coalesces and dispatches them onto a pool of tile replicas. All
+/// timestamps are **simulated** nanoseconds on the same clock the tiles
+/// account their bit-serial cycles in, so latency distributions are
+/// bit-identical for any host speed and thread count — the repo-wide
+/// determinism contract extended to queueing.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "crossbar/fidelity.hpp"
@@ -34,6 +36,13 @@ constexpr const char* kind_name(RequestKind k) {
     case RequestKind::kInference: return "infer";
   }
   return "unknown";
+}
+
+/// Inverse of kind_name; nullopt for an unknown name.
+inline std::optional<RequestKind> parse_kind(std::string_view name) {
+  for (const RequestKind k : {RequestKind::kVmm, RequestKind::kInference})
+    if (name == kind_name(k)) return k;
+  return std::nullopt;
 }
 
 /// One open-loop request, timestamped in simulated ns.

@@ -42,11 +42,7 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::parse_threads(const char* value) {
-  if (value == nullptr || *value == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(value, &end, 10);
-  if (end == value || *end != '\0') return 0;
-  return static_cast<std::size_t>(std::min(n, 1024ul));
+  return obs::parse_threads(value);
 }
 
 std::size_t ThreadPool::default_threads() {

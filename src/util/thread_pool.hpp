@@ -64,8 +64,8 @@ class ThreadPool {
   /// (at least 1).
   static std::size_t default_threads();
 
-  /// Parses a CIM_THREADS-style value; returns 0 when unset/invalid so the
-  /// caller can fall back (separated out for testability).
+  /// Parses a CIM_THREADS-style value via obs::parse_threads; returns 0
+  /// when unset/invalid so the caller can fall back.
   static std::size_t parse_threads(const char* value);
 
  private:

@@ -17,6 +17,7 @@
 #include "eda/revamp_isa.hpp"
 #include "eda/verify/program_io.hpp"
 #include "eda/verify/verify.hpp"
+#include "util/record_io.hpp"
 
 namespace cim::eda::verify {
 namespace {
@@ -30,10 +31,12 @@ std::string dumped(const Prog& prog) {
 
 ParsedProgram parse_or_die(const std::string& text) {
   std::istringstream is(text);
-  std::string error;
-  auto parsed = parse_program(is, &error);
-  EXPECT_TRUE(parsed.has_value()) << error;
-  return parsed.value_or(ParsedProgram{});
+  try {
+    return parse_program(is);
+  } catch (const util::record_io::ParseError& e) {
+    ADD_FAILURE() << e.what();
+    return ParsedProgram{};
+  }
 }
 
 TEST(ProgramIo, ImplyRoundTripIsAFixpoint) {
@@ -110,13 +113,21 @@ TEST(ProgramIo, CommentsAndBlankLinesAreIgnored)
   EXPECT_EQ(parsed.imply.output_cells, (std::vector<std::size_t>{1}));
 }
 
-void expect_parse_error(const std::string& text, const std::string& needle) {
+/// Expects a ParseError mentioning `needle` (at `line`, when nonzero).
+void expect_parse_error(const std::string& text, const std::string& needle,
+                        std::size_t line = 0) {
   std::istringstream is(text);
-  std::string error;
-  const auto parsed = parse_program(is, &error);
-  EXPECT_FALSE(parsed.has_value()) << text;
-  EXPECT_NE(error.find("parse error"), std::string::npos) << error;
-  EXPECT_NE(error.find(needle), std::string::npos) << error;
+  try {
+    parse_program(is);
+    ADD_FAILURE() << "expected a parse error for: " << text;
+  } catch (const util::record_io::ParseError& e) {
+    EXPECT_EQ(e.format(), "cim-prog-v1");
+    if (line != 0) {
+      EXPECT_EQ(e.line(), line) << e.what();
+    }
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ProgramIo, MalformedInputFailsWithLineNumberedErrors) {
@@ -130,6 +141,34 @@ TEST(ProgramIo, MalformedInputFailsWithLineNumberedErrors) {
   expect_parse_error("cim-prog-v1 revamp\nbitlines 2\napply 0 c1 0:c0\n",
                      "<col>=<operand>");
   expect_parse_error("", "empty stream");
+}
+
+TEST(ProgramIo, NumbersAndTokenCountsAreStrict) {
+  // An over-long count is an error, not a silent wrap.
+  expect_parse_error(
+      "cim-prog-v1 imply\ninputs 2\ncells 99999999999999999999999\n",
+      "bad cells", 3);
+  expect_parse_error("cim-prog-v1 imply\ninputs -2\n", "bad inputs", 2);
+  expect_parse_error("cim-prog-v1 imply\nfalse +3 @-\n", "bad dest cell", 2);
+  expect_parse_error("cim-prog-v1 imply\nimply 3 0 @4 @5\n", "trailing", 2);
+  expect_parse_error("cim-prog-v1 magic\nset 5 3 @6\n", "no input cells", 2);
+  expect_parse_error("cim-prog-v1 magic\nnor 5 3 @6 7\n", "trailing", 2);
+  expect_parse_error("cim-prog-v1 magic\noutput const 7\n", "constant", 2);
+  expect_parse_error("cim-prog-v1 revamp\noutput i-1\n", "operand input", 2);
+  expect_parse_error(
+      "cim-prog-v1 revamp\nbitlines 2\napply 0 c1 18446744073709551615=c0\n",
+      "column out of range", 3);
+  expect_parse_error("cim-prog-v1 revamp\nbitlines 99999999\n",
+                     "too many bitlines", 2);
+}
+
+TEST(ProgramIo, CrlfTabsAndTrailingBlanksAreTolerated) {
+  const auto parsed = parse_or_die(
+      "cim-prog-v1 imply\r\ninputs\t1 \r\ncells 2\t\r\nzero 1\r\n"
+      "false 1 @-\r\nimply 1 0 @2 \t\r\noutput 1\r\n");
+  EXPECT_EQ(parsed.imply.num_inputs, 1u);
+  ASSERT_EQ(parsed.imply.instrs.size(), 2u);
+  EXPECT_EQ(parsed.imply.instrs[1].def_node, 2u);
 }
 
 TEST(ProgramIo, RevampOperandGrammarCoversAllSources) {

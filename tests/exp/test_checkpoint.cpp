@@ -10,6 +10,7 @@
 #include <string>
 
 #include "exp/checkpoint.hpp"
+#include "util/record_io.hpp"
 
 namespace {
 
@@ -135,6 +136,48 @@ TEST(Checkpoint, ParseRejectsMalformedInput) {
     s.replace(p, 9, "cursor 7");
     EXPECT_THROW(parse_manifest(s), std::runtime_error);
   }
+}
+
+/// Expects `text` to fail with a ParseError naming `line`.
+void expect_parse_error_at(const std::string& text, std::size_t line,
+                           const std::string& needle) {
+  try {
+    parse_manifest(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const cim::util::record_io::ParseError& e) {
+    EXPECT_EQ(e.format(), "cim-campaign-v1");
+    EXPECT_EQ(e.line(), line) << e.what();
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+/// `good` with the first occurrence of `from` replaced by `to`.
+std::string with(std::string good, const std::string& from,
+                 const std::string& to) {
+  const auto p = good.find(from);
+  EXPECT_NE(p, std::string::npos) << from;
+  return good.replace(p, from.size(), to);
+}
+
+TEST(Checkpoint, NumbersAndFlagsAreStrict) {
+  const std::string good = manifest_to_string(demo_manifest());
+  // Integers take no sign: '+' and '-' are errors, not a silent wrap.
+  expect_parse_error_at(with(good, "seed 42", "seed +42"), 2, "bad seed");
+  expect_parse_error_at(with(good, "count 40", "count -1"), 5, "bad count");
+  expect_parse_error_at(with(good, "cursor 48", "cursor 48x"), 5,
+                        "bad cursor");
+  expect_parse_error_at(with(good, "rounds 5", "rounds 99999999999999999999"),
+                        3, "bad rounds");
+  // Flags are exactly 0 or 1, so a parsed manifest re-dumps unchanged.
+  expect_parse_error_at(with(good, "frozen 1", "frozen 7"), 4,
+                        "bad frozen flag");
+  expect_parse_error_at(with(good, "capped 1", "capped 01"), 6,
+                        "bad capped flag");
+  expect_parse_error_at(with(good, "mean 0.1", "mean +0.1"), 4, "bad mean");
+  expect_parse_error_at(with(good, "max 3.1415926535897931", "max 1e999"), 4,
+                        "bad max");
+  expect_parse_error_at("", 1, "empty input");
 }
 
 TEST(Checkpoint, SaveLoadRoundTrip) {

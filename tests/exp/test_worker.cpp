@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
 #include "exp/campaign.hpp"
 #include "exp/worker.hpp"
@@ -96,6 +97,35 @@ TEST(CampaignWorker, ShardsMatchSerialBitwise) {
   EXPECT_EQ(counter_of(serial_snap, "test.worker_trials"), a.total_trials);
   EXPECT_EQ(counter_of(shard_snap, "test.worker_trials"), b.total_trials);
   EXPECT_GT(b.worker_telemetry.counters_added, 0u);
+}
+
+TEST(CampaignWorker, StatLinesUseStrictNumbers) {
+  using cim::exp::parse_stat_line;
+  cim::obs::StreamStat st;
+  ASSERT_TRUE(parse_stat_line("stat 3 0.5 -1e-300 -inf 2", st));
+  EXPECT_EQ(st.n, 3u);
+  EXPECT_EQ(st.mean, 0.5);
+  EXPECT_EQ(st.m2, -1e-300);
+  EXPECT_EQ(st.min, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(st.max, 2.0);
+  // Blank runs separate fields (read_line_fd already strips a trailing CR).
+  EXPECT_TRUE(parse_stat_line("stat 3  0.5\t0 0 2 \t", st));
+
+  const cim::obs::StreamStat before = st;
+  for (const char* bad : {
+           "stat -1 0.5 0 0 2",      // signed count
+           "stat +3 0.5 0 0 2",      // '+' count
+           "stat 3 +0.5 0 0 2",      // '+' double
+           "stat 3 0.5x 0 0 2",      // trailing junk
+           "stat 3 1e999 0 0 2",     // overflow
+           "stat 99999999999999999999 0.5 0 0 2",
+           "stat 3 0.5 0 0",         // missing field
+           "stat 3 0.5 0 0 2 7",     // extra field
+           "stats 3 0.5 0 0 2",      // wrong head
+       }) {
+    EXPECT_FALSE(parse_stat_line(bad, st)) << bad;
+    EXPECT_EQ(st.n, before.n) << bad;
+  }
 }
 
 TEST(CampaignWorker, NotInWorkerModeByDefault) {

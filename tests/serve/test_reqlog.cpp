@@ -1,8 +1,8 @@
 /// cim-reqlog-v1 round-trips: serving runs survive dump -> parse
 /// field-exactly (doubles bitwise via %.17g), dump -> parse -> dump is a
 /// byte-exact fixpoint, CRLF/trailing-whitespace-damaged logs still parse
-/// (the robustness contract shared with cim-trace-v1), malformed logs
-/// fail with line-numbered errors, and the CIM_OBS_REQLOG_FILE env hook
+/// (the trailing-whitespace rule every text format shares), malformed
+/// logs fail with line-numbered errors, and the CIM_OBS_REQLOG_FILE env hook
 /// writes the crash-safe export from Controller::run.
 #include "serve/reqlog.hpp"
 
@@ -18,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "serve/controller.hpp"
 #include "serve/traffic.hpp"
+#include "util/record_io.hpp"
 #include "util/rng.hpp"
 
 namespace cim::serve {
@@ -166,6 +167,38 @@ TEST(ReqLog, MalformedLogsFailWithLineNumbers) {
           << "error '" << e.what() << "' lacks '" << c.needle << "'";
     }
   }
+}
+
+TEST(ReqLog, IntegerFieldsMustFitExactly) {
+  // A negative, fractional or out-of-range number has no integer value to
+  // cast to (the cast would be undefined behaviour): a line-numbered error.
+  const std::string header =
+      "{\"format\":\"cim-reqlog-v1\",\"completions\":0,"
+      "\"rejections\":0}\n\n";
+  for (const char* id : {"-1", "0.5", "1e20"}) {
+    std::istringstream is(header +
+                          "{\"event\":\"rejected\",\"id\":" + id +
+                          ",\"kind\":\"vmm\",\"arrival_ns\":0}\n");
+    try {
+      read_reqlog(is);
+      ADD_FAILURE() << "accepted id " << id;
+    } catch (const util::record_io::ParseError& e) {
+      EXPECT_EQ(e.line(), 3u) << e.what();
+      EXPECT_NE(std::string(e.what()).find("bad 'id'"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ReqLog, KindAndTierParsersInvertTheirNames) {
+  for (const RequestKind k : {RequestKind::kVmm, RequestKind::kInference})
+    EXPECT_EQ(parse_kind(kind_name(k)), k);
+  using crossbar::FidelityTier;
+  for (const FidelityTier t : {FidelityTier::kFull, FidelityTier::kCalibrated,
+                               FidelityTier::kIdeal})
+    EXPECT_EQ(crossbar::parse_tier(crossbar::tier_name(t)), t);
+  EXPECT_FALSE(parse_kind("unknown").has_value());
+  EXPECT_FALSE(crossbar::parse_tier("unknown").has_value());
 }
 
 TEST(ReqLog, EnvHookExportsFromControllerRun) {

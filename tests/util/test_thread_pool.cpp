@@ -86,6 +86,14 @@ TEST(ThreadPool, ParseThreads) {
   EXPECT_EQ(ThreadPool::parse_threads(""), 0u);
   EXPECT_EQ(ThreadPool::parse_threads(nullptr), 0u);
   EXPECT_EQ(ThreadPool::parse_threads("0"), 0u);
+  EXPECT_EQ(ThreadPool::parse_threads("4096"), 1024u);  // capped
+  // Strict: signs and padding mean "hardware default"; "-1" must never
+  // wrap to a huge count and start 1024 threads.
+  EXPECT_EQ(ThreadPool::parse_threads("-1"), 0u);
+  EXPECT_EQ(ThreadPool::parse_threads("+8"), 0u);
+  EXPECT_EQ(ThreadPool::parse_threads(" 2"), 0u);
+  EXPECT_EQ(ThreadPool::parse_threads("2 "), 0u);
+  EXPECT_EQ(ThreadPool::parse_threads("99999999999999999999999"), 0u);
 }
 
 TEST(ThreadPool, GlobalPoolIsUsable) {

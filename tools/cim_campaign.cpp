@@ -24,6 +24,7 @@
 
 #include "exp/checkpoint.hpp"
 #include "obs/dataset.hpp"
+#include "util/record_io.hpp"
 
 namespace {
 
@@ -52,6 +53,21 @@ void print_usage(std::ostream& os) {
         "  -h, --help             this message\n";
 }
 
+/// Reads the strict record_io double after flag `args[i]` into `out`;
+/// a bad value names the flag.
+bool number_flag(const std::vector<std::string>& args, std::size_t& i,
+                 double& out) {
+  const std::string& flag = args[i];
+  const auto v = cim::util::record_io::parse_f64(args[++i]);
+  if (!v) {
+    std::cerr << "cim-campaign: bad value '" << args[i] << "' for " << flag
+              << "\n";
+    return false;
+  }
+  out = *v;
+  return true;
+}
+
 bool load_or_die(const std::string& path, CampaignManifest& m) {
   std::string err;
   if (!cim::exp::load_manifest(path, m, &err)) {
@@ -67,7 +83,7 @@ int cmd_status(const std::vector<std::string>& args) {
   std::string file;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--confidence" && i + 1 < args.size()) {
-      confidence = std::atof(args[++i].c_str());
+      if (!number_flag(args, i, confidence)) return 2;
     } else if (args[i] == "--require-converged") {
       require_converged = true;
     } else if (file.empty()) {
@@ -164,10 +180,11 @@ int cmd_diff(const std::vector<std::string>& args) {
   double tol = 0.0;
   std::vector<std::string> files;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--tol" && i + 1 < args.size())
-      tol = std::atof(args[++i].c_str());
-    else
+    if (args[i] == "--tol" && i + 1 < args.size()) {
+      if (!number_flag(args, i, tol)) return 2;
+    } else {
       files.push_back(args[i]);
+    }
   }
   if (files.size() != 2) {
     print_usage(std::cerr);

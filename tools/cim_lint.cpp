@@ -23,11 +23,13 @@
 #include "eda/verify/program_io.hpp"
 #include "eda/verify/verify.hpp"
 #include "eda/verify/wear_cost.hpp"
+#include "util/record_io.hpp"
 
 namespace {
 
 namespace verify = cim::eda::verify;
 namespace device = cim::device;
+namespace rio = cim::util::record_io;
 
 void print_usage(std::ostream& os) {
   os << "usage: cim-lint [options] <program.cimprog>... (- reads stdin)\n"
@@ -88,6 +90,21 @@ std::optional<Options> parse_args(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Numeric flags take strict record_io numbers; a bad value names the flag.
+  auto number = [&](int& i, auto parse, auto& out) {
+    const char* v = value(i);
+    if (v == nullptr) return false;
+    const auto n = parse(v);
+    if (!n) {
+      std::cerr << "cim-lint: bad value '" << v << "' for " << argv[i - 1]
+                << "\n";
+      return false;
+    }
+    out = *n;
+    return true;
+  };
+  const auto u64 = [](const char* v) { return rio::parse_u64(v); };
+  const auto f64 = [](const char* v) { return rio::parse_f64(v); };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-h" || arg == "--help") {
@@ -103,25 +120,15 @@ std::optional<Options> parse_args(int argc, char** argv) {
       }
       opt.verify.tech = *tech;
     } else if (arg == "--planned-evals") {
-      const char* v = value(i);
-      if (v == nullptr) return std::nullopt;
-      opt.planned_evals = std::strtoull(v, nullptr, 10);
+      if (!number(i, u64, opt.planned_evals)) return std::nullopt;
     } else if (arg == "--time-budget-ns") {
-      const char* v = value(i);
-      if (v == nullptr) return std::nullopt;
-      opt.budget.time_ns = std::strtod(v, nullptr);
+      if (!number(i, f64, opt.budget.time_ns)) return std::nullopt;
     } else if (arg == "--energy-budget-pj") {
-      const char* v = value(i);
-      if (v == nullptr) return std::nullopt;
-      opt.budget.energy_pj = std::strtod(v, nullptr);
+      if (!number(i, f64, opt.budget.energy_pj)) return std::nullopt;
     } else if (arg == "--tiles") {
-      const char* v = value(i);
-      if (v == nullptr) return std::nullopt;
-      opt.tiles = std::strtoull(v, nullptr, 10);
+      if (!number(i, u64, opt.tiles)) return std::nullopt;
     } else if (arg == "--adcs") {
-      const char* v = value(i);
-      if (v == nullptr) return std::nullopt;
-      opt.adcs = std::strtoull(v, nullptr, 10);
+      if (!number(i, u64, opt.adcs)) return std::nullopt;
     } else if (arg == "--wear-json") {
       const char* v = value(i);
       if (v == nullptr) return std::nullopt;
@@ -176,16 +183,14 @@ int main(int argc, char** argv) {
       }
       is = &fstream;
     }
-    std::string parse_error;
-    auto program = verify::parse_program(*is, &parse_error);
-    if (!program) {
-      std::cerr << "cim-lint: " << file << ": " << parse_error << "\n";
-      return 2;
-    }
-
     Analyzed a;
     a.name = file == "-" ? "<stdin>" : file;
-    a.program = std::move(*program);
+    try {
+      a.program = verify::parse_program(*is);
+    } catch (const rio::ParseError& e) {
+      std::cerr << "cim-lint: " << file << ": " << e.what() << "\n";
+      return 2;
+    }
 
     verify::ProgramUnit unit;
     unit.name = a.name;

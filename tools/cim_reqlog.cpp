@@ -21,11 +21,13 @@
 
 #include "serve/reqlog.hpp"
 #include "serve/request.hpp"
+#include "util/record_io.hpp"
 
 namespace {
 
 using cim::serve::Completion;
 using cim::serve::ReqLog;
+namespace rio = cim::util::record_io;
 
 void print_usage(std::ostream& os) {
   os << "usage: cim-reqlog [options] <run.cimreqlog> (- reads stdin)\n"
@@ -82,15 +84,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags take strict record_io numbers; a bad value names the
+    // flag instead of silently becoming 0.
+    auto number = [&](auto parse) {
+      const char* v = next();
+      const auto n = parse(v);
+      if (!n) {
+        std::cerr << "cim-reqlog: bad value '" << v << "' for " << arg << "\n";
+        std::exit(2);
+      }
+      return *n;
+    };
+    const auto u64 = [](const char* v) { return rio::parse_u64(v); };
+    const auto f64 = [](const char* v) { return rio::parse_f64(v); };
     if (arg == "-h" || arg == "--help") {
       print_usage(std::cout);
       return 0;
     } else if (arg == "--top") {
-      opt.top = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      opt.top = number(u64);
     } else if (arg == "--max-p99-ns") {
-      opt.max_p99_ns = std::strtod(next(), nullptr);
+      opt.max_p99_ns = number(f64);
     } else if (arg == "--max-shed-frac") {
-      opt.max_shed_frac = std::strtod(next(), nullptr);
+      opt.max_shed_frac = number(f64);
     } else if (arg == "--check-decomposition") {
       opt.check_decomposition = true;
     } else if (arg == "--quiet") {
