@@ -1,11 +1,11 @@
 /// \file bench_micro_kernels.cpp
 /// \brief Micro-kernel throughput bench. Default mode sweeps every
 ///        runtime-dispatched ISA variant (scalar / avx2 / avx512) of the
-///        util::kernels hot loops — dot, axpy, gemm_accumulate,
-///        vmm_row_accumulate — across sizes, reporting GB/s and speedup vs
-///        the portable scalar table, and ends with the standard BENCH_JSON
-///        line (per-variant extras) scraped into BENCH_PR<N>.json by
-///        scripts/collect_bench.sh.
+///        util::kernels hot loops — dot, axpy, gemm_accumulate and the
+///        whole-array crossbar vmm — across sizes, reporting GB/s and
+///        speedup vs the portable scalar table, and ends with the
+///        standard BENCH_JSON line (per-variant extras) scraped into
+///        BENCH_PR<N>.json by scripts/collect_bench.sh.
 ///
 ///        `--gbench` (or any --benchmark_* flag) instead runs the legacy
 ///        google-benchmark suite over the composite hot paths (crossbar
@@ -143,7 +143,7 @@ double time_reps(int reps, F&& body) {
 }
 
 struct KernelResult {
-  std::string kernel;  // "dot" / "axpy" / "gemm" / "vmm_row"
+  std::string kernel;  // "dot" / "axpy" / "gemm" / "vmm"
   std::size_t n;       // problem size (elements or MACs)
   double bytes;        // bytes touched per invocation
   // seconds/rep, indexed like supported_isas()
@@ -188,18 +188,32 @@ int run_isa_sweep() {
                    t.axpy(1.0000001, a.data(), y.data(), n);
                    checksum_sink += y[n / 2];
                  });
+  }
 
-    auto g = bench_vec(n, 7 * n + 9);
-    for (auto& x : g) x = x < 0 ? -x : x;  // conductances are non-negative
-    auto currents = std::vector<double>(n, 0.0);
-    auto noise = std::vector<double>(n, 0.0);
-    sweep_kernel(results, "vmm_row", n, 40.0 * static_cast<double>(n), reps,
-                 isas, [&](const util::simd::KernelTable& t) {
-                   double e = 0.0;
-                   t.vmm_row_accumulate(0.2, g.data(), currents.data(),
-                                        noise.data(), 0.01, 1.0, n, e);
-                   checksum_sink += e + currents[n / 2];
-                 });
+  // Whole-array crossbar VMM with read-noise variance (the tier-0 read),
+  // at the serve tile shape and two square arrays; one wordline in four
+  // is off, as in bit-serial inputs. n counts the array's cells.
+  {
+    struct Shape {
+      std::size_t rows, cols;
+      int reps;
+    };
+    for (const Shape s :
+         {Shape{64, 64, 4096}, Shape{128, 128, 1024}, Shape{256, 256, 256}}) {
+      auto g = bench_vec(s.rows * s.cols, 7 * s.cols + 9);
+      for (auto& x : g) x = x < 0 ? -x : x;  // conductances are non-negative
+      auto v = bench_vec(s.rows, 11);
+      for (std::size_t r = 0; r < s.rows; r += 4) v[r] = 0.0;
+      auto currents = std::vector<double>(s.cols, 0.0);
+      auto noise = std::vector<double>(s.cols, 0.0);
+      const std::size_t cells = s.rows * s.cols;
+      sweep_kernel(results, "vmm", cells, 8.0 * static_cast<double>(cells),
+                   s.reps, isas, [&, s](const util::simd::KernelTable& t) {
+                     t.vmm(v.data(), g.data(), s.rows, s.cols,
+                           currents.data(), noise.data(), 0.01);
+                     checksum_sink += currents[s.cols / 2] + noise[0];
+                   });
+    }
   }
 
   // Blocked GEMM: an L1-resident panel (the repo's small-layer nn shapes)
@@ -256,7 +270,7 @@ int run_isa_sweep() {
   std::vector<std::pair<std::string, double>> extras;
   double ops = 0.0;
   for (const auto& r : results) ops += static_cast<double>(r.n);
-  for (const std::string kernel : {"dot", "axpy", "vmm_row", "gemm"}) {
+  for (const std::string kernel : {"dot", "axpy", "vmm", "gemm"}) {
     const KernelResult* best = nullptr;
     for (const auto& r : results)
       if (r.kernel == kernel &&

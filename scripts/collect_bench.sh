@@ -91,9 +91,9 @@ OPTIONAL = {
     # dispatched-ISA kernel sweep (bench_micro_kernels): GB/s per variant
     # and speedup vs the scalar table; avx* keys are absent on hosts
     # whose build or CPU cannot execute that table.
-    *(f"{k}_gbs_{isa}" for k in ("dot", "axpy", "vmm_row", "gemm")
+    *(f"{k}_gbs_{isa}" for k in ("dot", "axpy", "vmm", "gemm")
       for isa in ("scalar", "avx2", "avx512")),
-    *(f"{k}_speedup_{isa}" for k in ("dot", "axpy", "vmm_row", "gemm")
+    *(f"{k}_speedup_{isa}" for k in ("dot", "axpy", "vmm", "gemm")
       for isa in ("avx2", "avx512")),
 }
 

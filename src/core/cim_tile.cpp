@@ -34,7 +34,28 @@ CimTile::CimTile(CimTileConfig cfg)
           .sample_rate_gsps = 1.28,
           .full_scale_ua = plus_->tech().v_read * plus_->tech().g_on_us() *
                            static_cast<double>(cfg.tile.rows)}),
-      weights_(cfg.tile.cols, cfg.tile.rows) {}
+      weights_(cfg.tile.cols, cfg.tile.rows),
+      volts_(cfg.tile.rows),
+      i_plus_(cfg.tile.cols),
+      i_minus_(cfg.tile.cols),
+      acc_(cfg.tile.cols) {
+  const auto& tech = plus_->tech();
+  adc_level_.resize(std::size_t{adc_.max_code()} + 1);
+  for (std::uint32_t code = 0; code <= adc_.max_code(); ++code)
+    adc_level_[code] = adc_.dequantize(code) / tech.v_read;
+  // Two conversions per column per cycle (differential pair), sharing
+  // ceil(cols/adcs) slots across the two arrays.
+  const double adc_conversions_per_cycle =
+      2.0 * std::ceil(static_cast<double>(cols()) /
+                      static_cast<double>(cfg_.tile.adcs));
+  t_adc_ns_ = (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
+  t_cycle_ns_ = tech.t_read_ns + t_adc_ns_;
+  e_adc_pj_ = adc_conversions_per_cycle * adc_.energy_per_sample_pj();
+  const periphery::Dac dac({.bits = cfg_.tile.dac_bits});
+  e_dac_pj_ = 2.0 * static_cast<double>(rows()) *
+              dac.energy_per_conversion_pj();
+  e_dig_pj_ = 0.2 * tech.t_read_ns;  // shift&add power * window
+}
 
 std::size_t CimTile::rows() const { return cfg_.tile.rows; }
 std::size_t CimTile::cols() const { return cfg_.tile.cols; }
@@ -71,14 +92,6 @@ void CimTile::program_weights(const util::Matrix& w_int) {
   minus_->program_conductances(g_minus);
 }
 
-double CimTile::decode_level_sum(double current_ua,
-                                 double active_inputs) const {
-  const auto& tech = plus_->tech();
-  const auto& sch = plus_->scheme();
-  return (current_ua / tech.v_read - active_inputs * sch.g_min_us()) /
-         sch.step_us();
-}
-
 std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
                                    int input_bits,
                                    crossbar::FidelityTier tier) {
@@ -88,93 +101,79 @@ std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
     throw std::invalid_argument("vmm_int: input_bits in [1,16]");
   CIM_OBS_SPAN_NAMED(span, "tile.vmm_int", obs::Component::kDigital);
 
-  const auto& tech = plus_->tech();
-  const double v = tech.v_read;
-  const periphery::Dac dac({.bits = cfg_.tile.dac_bits});
+  const double v = plus_->tech().v_read;
+  const auto& sch = plus_->scheme();
+  const double g_min = sch.g_min_us();
+  const double step = sch.step_us();
+  std::fill(acc_.begin(), acc_.end(), 0.0);
 
-  std::vector<double> acc(cols(), 0.0);
-  std::vector<double> volts(rows());
-
-  const double adc_conversions_per_cycle =
-      2.0 * std::ceil(static_cast<double>(cols()) /
-                      static_cast<double>(cfg_.tile.adcs));
-
-  for (int b = 0; b < input_bits; ++b) {
+  double weight = 1.0;  // 2^b: scaling by it is exact, like std::ldexp
+  for (int b = 0; b < input_bits; ++b, weight *= 2.0) {
     double active = 0.0;
     for (std::size_t r = 0; r < rows(); ++r) {
       const bool on = (inputs[r] >> b) & 1u;
-      volts[r] = on ? v : 0.0;
+      volts_[r] = on ? v : 0.0;
       if (on) active += 1.0;
     }
 
     const double e_before =
         plus_->stats().energy_pj + minus_->stats().energy_pj;
-    auto i_plus = plus_->vmm(volts, tier);
-    auto i_minus = minus_->vmm(volts, tier);
+    plus_->vmm(volts_, i_plus_, tier);
+    minus_->vmm(volts_, i_minus_, tier);
     const double e_array =
         plus_->stats().energy_pj + minus_->stats().energy_pj - e_before;
 
-    const bool health = obs::health_enabled();
-    for (std::size_t c = 0; c < cols(); ++c) {
-      const double ip = adc_.dequantize(adc_.quantize(i_plus[c]));
-      const double im = adc_.dequantize(adc_.quantize(i_minus[c]));
-      if (health) {
-        // Two conversions per column per bit cycle (differential pair);
-        // clipping means the bitline current fell outside full scale.
-        auto& h = health_monitor();
-        h.record_adc_sample(c, adc_.clips(i_plus[c]));
-        h.record_adc_sample(c, adc_.clips(i_minus[c]));
+    if (obs::health_enabled()) {
+      // Two conversions per column per bit cycle (differential pair);
+      // clipping means the bitline current fell outside full scale.
+      auto& h = health_monitor();
+      for (std::size_t c = 0; c < cols(); ++c) {
+        h.record_adc_sample(c, adc_.clips(i_plus_[c]));
+        h.record_adc_sample(c, adc_.clips(i_minus_[c]));
       }
-      const double sum =
-          decode_level_sum(ip, active) - decode_level_sum(im, active);
-      acc[c] += std::ldexp(sum, b);
+    }
+    // Decode each converted current to a weight-level sum:
+    // (I / v_read - active * g_min) / step, with I / v_read read from the
+    // per-code table.
+    const double offset = active * g_min;
+    for (std::size_t c = 0; c < cols(); ++c) {
+      const double lp = adc_level_[adc_.quantize(i_plus_[c])];
+      const double lm = adc_level_[adc_.quantize(i_minus_[c])];
+      const double sum = (lp - offset) / step - (lm - offset) / step;
+      acc_[c] += sum * weight;
     }
 
     // Cost accounting for the cycle.
-    const double t_cycle =
-        tech.t_read_ns + (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
-    const double e_adc =
-        adc_conversions_per_cycle * adc_.energy_per_sample_pj();
-    const double e_dac =
-        2.0 * static_cast<double>(rows()) * dac.energy_per_conversion_pj();
-    const double e_dig = 0.2 * tech.t_read_ns;  // shift&add power * window
-
-    stats_.time_ns += t_cycle;
-    stats_.energy_pj += e_array + e_adc + e_dac + e_dig;
+    stats_.time_ns += t_cycle_ns_;
+    stats_.energy_pj += e_array + e_adc_pj_ + e_dac_pj_ + e_dig_pj_;
     stats_.array_energy_pj += e_array;
-    stats_.adc_energy_pj += e_adc;
-    stats_.dac_energy_pj += e_dac;
-    stats_.digital_energy_pj += e_dig;
+    stats_.adc_energy_pj += e_adc_pj_;
+    stats_.dac_energy_pj += e_dac_pj_;
+    stats_.digital_energy_pj += e_dig_pj_;
     ++stats_.cycles;
     if (obs::enabled()) {
       // Periphery attribution per bit-serial cycle; the crossbars already
       // attributed e_array to kArray inside charge().
-      const double t_adc = (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
-      obs::attribute(obs::Component::kAdc, t_adc, e_adc);
-      obs::attribute(obs::Component::kDac, 0.0, e_dac);
-      obs::attribute(obs::Component::kDigital, 0.0, e_dig);
-      span.add_sim_time_ns(t_cycle);
-      span.add_energy_pj(e_array + e_adc + e_dac + e_dig);
+      obs::attribute(obs::Component::kAdc, t_adc_ns_, e_adc_pj_);
+      obs::attribute(obs::Component::kDac, 0.0, e_dac_pj_);
+      obs::attribute(obs::Component::kDigital, 0.0, e_dig_pj_);
+      span.add_sim_time_ns(t_cycle_ns_);
+      span.add_energy_pj(e_array + e_adc_pj_ + e_dac_pj_ + e_dig_pj_);
     }
   }
 
   ++stats_.vmm_ops;
   std::vector<long> y(cols());
   for (std::size_t c = 0; c < cols(); ++c)
-    y[c] = std::lround(acc[c]);
+    y[c] = std::lround(acc_[c]);
   return y;
 }
 
 double CimTile::vmm_latency_ns(int input_bits) const {
-  // Mirrors the per-cycle accounting in vmm_int(): one wordline read plus
+  // The per-cycle time vmm_int() charges: one wordline read plus
   // ceil(cols/adcs) conversion slots (the differential pair's two
   // conversions per column share a slot across the two arrays).
-  const double adc_conversions_per_cycle =
-      2.0 * std::ceil(static_cast<double>(cols()) /
-                      static_cast<double>(cfg_.tile.adcs));
-  const double t_cycle = plus_->tech().t_read_ns +
-                         (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
-  return static_cast<double>(input_bits) * t_cycle;
+  return static_cast<double>(input_bits) * t_cycle_ns_;
 }
 
 std::vector<long> CimTile::ideal_vmm_int(

@@ -94,8 +94,6 @@ class CimTile {
   crossbar::Crossbar& minus_array() { return *minus_; }
 
  private:
-  double decode_level_sum(double current_ua, double active_inputs) const;
-
   CimTileConfig cfg_;
   std::unique_ptr<crossbar::Crossbar> plus_;
   std::unique_ptr<crossbar::Crossbar> minus_;
@@ -103,6 +101,17 @@ class CimTile {
   util::Matrix weights_;  ///< programmed integer weights (oracle copy)
   CimTileStats stats_;
   std::shared_ptr<obs::HealthMonitor> health_;
+
+  // Per-cycle constants of the bit-serial loop, fixed at construction.
+  std::vector<double> adc_level_;  ///< dequantize(code) / v_read, per code
+  double t_cycle_ns_ = 0.0;        ///< wordline read + conversion slots
+  double t_adc_ns_ = 0.0;          ///< conversion slots alone
+  double e_adc_pj_ = 0.0;          ///< both arrays' conversions
+  double e_dac_pj_ = 0.0;          ///< both arrays' wordline DACs
+  double e_dig_pj_ = 0.0;          ///< shift-and-add
+
+  // vmm_int scratch, reused across calls.
+  std::vector<double> volts_, i_plus_, i_minus_, acc_;
 };
 
 }  // namespace cim::core

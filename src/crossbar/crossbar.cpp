@@ -381,22 +381,41 @@ void Crossbar::apply_dirty_cells() {
     const double ge_old = g_eff_cache_[idx];
     const double ge = effective_conductance(r, c, g);
     g_eff_cache_[idx] = ge;
-    // Fidelity-tier calibration tables: cheap +=delta repair. The sums may
-    // drift by ulps from a cold rebuild (different accumulation order);
-    // tier-1 consumers are validated with tolerances, never bitwise.
-    const double gi_old = g_ideal_cache_[idx];
-    const double gi = sch.level_conductance_us(cells_[idx].target_level());
-    g_ideal_cache_[idx] = gi;
+    g_ideal_cache_[idx] = sch.level_conductance_us(cells_[idx].target_level());
+    // Tier-1 noise table: cheap +=delta repair. The column sums may drift
+    // by ulps from a cold rebuild (different accumulation order); tier-1
+    // noise is validated with tolerances, never bitwise.
     g_eff_sq_colsum_[c] += ge * ge - ge_old * ge_old;
-    g_eff_rowsum_[r] += ge - ge_old;
-    g_ideal_rowsum_[r] += gi - gi_old;
     dirty_bits_[r * dirty_words_per_row_ + (c >> 6)] &=
         ~(std::uint64_t{1} << (c & 63));
   }
-  // Refresh the cached column stds wholesale: O(cols) sqrts per delta
-  // event is noise next to the per-cell repair above, and the clamp guards
-  // against a colsum drifting epsilon-negative through cancellation.
-  for (std::size_t c = 0; c < cfg_.cols; ++c)
+  // The distinct rows (or columns) of the dirty cells, ascending.
+  const auto touched = [this](bool rows) -> const std::vector<std::uint32_t>& {
+    touched_.clear();
+    for (const std::uint32_t idx : dirty_cells_)
+      touched_.push_back(static_cast<std::uint32_t>(
+          rows ? idx / cfg_.cols : idx % cfg_.cols));
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+    return touched_;
+  };
+  // Row sums carry every tier's array energy, so they stay bitwise-equal
+  // to a rebuild: each touched row is re-summed in column order.
+  for (const std::uint32_t r : touched(/*rows=*/true)) {
+    const double* ge = g_eff_cache_.data() + r * cfg_.cols;
+    const double* gi = g_ideal_cache_.data() + r * cfg_.cols;
+    double se = 0.0, si = 0.0;
+    for (std::size_t c = 0; c < cfg_.cols; ++c) {
+      se += ge[c];
+      si += gi[c];
+    }
+    g_eff_rowsum_[r] = se;
+    g_ideal_rowsum_[r] = si;
+  }
+  // Refresh the touched columns' cached stds; the clamp guards against a
+  // colsum drifting epsilon-negative through cancellation.
+  for (const std::uint32_t c : touched(/*rows=*/false))
     g_eff_col_std_[c] = std::sqrt(std::max(0.0, g_eff_sq_colsum_[c]));
   stats_.cache_dirty_cells += dirty_cells_.size();
   dirty_cells_.clear();
@@ -409,20 +428,6 @@ void Crossbar::apply_dirty_cells() {
   }
   ++stats_.cache_delta_updates;
   util::perf::cache_delta_updates.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Crossbar::accumulate_currents(std::span<const double> v_rows,
-                                   std::span<double> currents,
-                                   std::span<double> noise_var,
-                                   double& energy) const {
-  for (std::size_t r = 0; r < cfg_.rows; ++r) {
-    const double v = v_rows[r];
-    if (v == 0.0) continue;
-    util::kernels::vmm_row_accumulate(
-        v, g_eff_cache_.data() + r * cfg_.cols, currents.data(),
-        noise_var.data(), tech_.read_noise_frac, tech_.t_read_ns, cfg_.cols,
-        energy);
-  }
 }
 
 double Crossbar::sneak_background_per_col(
@@ -462,23 +467,12 @@ std::vector<double> Crossbar::vmm(std::span<const double> v_rows,
   return currents;
 }
 
-void Crossbar::accumulate_currents_plain(std::span<const double> v_rows,
-                                         const double* g_flat,
-                                         std::span<double> currents) const {
-  // One dispatch-table load for the whole call instead of one per row.
-  const auto& t = util::simd::active();
-  for (std::size_t r = 0; r < cfg_.rows; ++r) {
-    const double v = v_rows[r];
-    if (v == 0.0) continue;
-    t.axpy(v, g_flat + r * cfg_.cols, currents.data(), cfg_.cols);
-  }
-}
-
 double Crossbar::vmm_energy_from_rowsums(
     std::span<const double> v_rows, const std::vector<double>& rowsum) const {
-  // Tier 0 charges sum_{r,c} |v_r * (v_r * g)| * t * 1e-3. With g >= 0 the
-  // inner |.| is v_r^2 * g, so the double sum collapses onto the cached
-  // per-row conductance sums (agrees with tier 0 up to reassociation ulps).
+  // Every tier charges sum_{r,c} |v_r * (v_r * g)| * t * 1e-3. With g >= 0
+  // the inner |.| is v_r^2 * g, so the double sum collapses onto the exact
+  // per-row conductance sums: no per-cell energy term, and the same bits
+  // on every kernel table and after any history of cache deltas.
   double e = 0.0;
   for (std::size_t r = 0; r < cfg_.rows; ++r)
     e += v_rows[r] * v_rows[r] * rowsum[r];
@@ -511,8 +505,8 @@ void Crossbar::vmm_calibrated(std::span<const double> v_rows,
                               std::span<double> currents) {
   CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.fast", obs::Component::kArray);
   ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  accumulate_currents_plain(v_rows, g_eff_cache_.data(), currents);
+  util::kernels::vmm(v_rows.data(), g_eff_cache_.data(), cfg_.rows, cfg_.cols,
+                     currents.data(), nullptr, 0.0);
   if (cfg_.passive_array) {
     const double sneak_per_col = sneak_background_per_col(v_rows);
     for (double& i : currents) i += sneak_per_col;
@@ -543,8 +537,8 @@ void Crossbar::vmm_ideal(std::span<const double> v_rows,
                          std::span<double> currents) {
   CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.ideal", obs::Component::kArray);
   ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  accumulate_currents_plain(v_rows, g_ideal_cache_.data(), currents);
+  util::kernels::vmm(v_rows.data(), g_ideal_cache_.data(), cfg_.rows,
+                     cfg_.cols, currents.data(), nullptr, 0.0);
   const double energy = vmm_energy_from_rowsums(v_rows, g_ideal_rowsum_);
   ++stats_.vmm_ops;
   charge(tech_.t_read_ns, energy);
@@ -566,10 +560,11 @@ void Crossbar::vmm(std::span<const double> v_rows, std::span<double> currents,
   if (tier == FidelityTier::kIdeal) return vmm_ideal(v_rows, currents);
   CIM_OBS_SPAN_NAMED(span, "crossbar.vmm", obs::Component::kArray);
   ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  vmm_noise_scratch_.assign(cfg_.cols, 0.0);
-  double energy = 0.0;
-  accumulate_currents(v_rows, currents, vmm_noise_scratch_, energy);
+  vmm_noise_scratch_.resize(cfg_.cols);
+  util::kernels::vmm(v_rows.data(), g_eff_cache_.data(), cfg_.rows, cfg_.cols,
+                     currents.data(), vmm_noise_scratch_.data(),
+                     tech_.read_noise_frac);
+  const double energy = vmm_energy_from_rowsums(v_rows, g_eff_rowsum_);
 
   if (cfg_.passive_array) {
     const double sneak_per_col = sneak_background_per_col(v_rows);
@@ -629,11 +624,11 @@ void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
   p.parallel_for(0, batch, [&](std::size_t s) {
     const auto v_rows = v_batch.row(s);
     auto currents = out.row(s);
-    std::fill(currents.begin(), currents.end(), 0.0);
     thread_local std::vector<double> noise_var;
-    noise_var.assign(cfg_.cols, 0.0);
-    double energy = 0.0;
-    accumulate_currents(v_rows, currents, noise_var, energy);
+    noise_var.resize(cfg_.cols);
+    util::kernels::vmm(v_rows.data(), g_eff_cache_.data(), cfg_.rows,
+                       cfg_.cols, currents.data(), noise_var.data(),
+                       tech_.read_noise_frac);
     if (cfg_.passive_array) {
       const double sneak_per_col = sneak_background_per_col(v_rows);
       for (double& i : currents) i += sneak_per_col;
@@ -645,7 +640,7 @@ void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
     util::Rng srng = util::Rng::stream(master, 2 * s);
     for (std::size_t c = 0; c < cfg_.cols; ++c)
       currents[c] += srng.normal(0.0, std::sqrt(noise_var[c]));
-    sample_energy[s] = energy;
+    sample_energy[s] = vmm_energy_from_rowsums(v_rows, g_eff_rowsum_);
   });
 
   // Serial epilogue in sample order: stats, then the read disturb each
@@ -684,8 +679,8 @@ void Crossbar::vmm_batch_calibrated(const util::Matrix& v_batch,
   pool.parallel_for(0, batch, [&](std::size_t s) {
     const auto v_rows = v_batch.row(s);
     auto currents = out.row(s);
-    std::fill(currents.begin(), currents.end(), 0.0);
-    accumulate_currents_plain(v_rows, g_eff_cache_.data(), currents);
+    util::kernels::vmm(v_rows.data(), g_eff_cache_.data(), cfg_.rows,
+                       cfg_.cols, currents.data(), nullptr, 0.0);
     if (cfg_.passive_array) {
       const double sneak_per_col = sneak_background_per_col(v_rows);
       for (double& i : currents) i += sneak_per_col;
@@ -729,8 +724,8 @@ void Crossbar::vmm_batch_ideal(const util::Matrix& v_batch, util::Matrix& out,
   pool.parallel_for(0, batch, [&](std::size_t s) {
     const auto v_rows = v_batch.row(s);
     auto currents = out.row(s);
-    std::fill(currents.begin(), currents.end(), 0.0);
-    accumulate_currents_plain(v_rows, g_ideal_cache_.data(), currents);
+    util::kernels::vmm(v_rows.data(), g_ideal_cache_.data(), cfg_.rows,
+                       cfg_.cols, currents.data(), nullptr, 0.0);
     sample_energy[s] = vmm_energy_from_rowsums(v_rows, g_ideal_rowsum_);
   });
   for (std::size_t s = 0; s < batch; ++s) {

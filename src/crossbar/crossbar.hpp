@@ -318,13 +318,7 @@ class Crossbar {
   }
 
   void rebuild_conductance_cache();  ///< full O(rows*cols) rebuild
-  void apply_dirty_cells();          ///< O(|dirty|) delta repair
-
-  /// Accumulates per-column currents / noise variance / array energy for
-  /// one input vector from the cached effective conductances.
-  void accumulate_currents(std::span<const double> v_rows,
-                           std::span<double> currents,
-                           std::span<double> noise_var, double& energy) const;
+  void apply_dirty_cells();  ///< O(|dirty| + touched rows * cols) repair
 
   /// Tier-1/2 serial VMM bodies (dispatched from vmm()). Both assume a
   /// valid conductance cache.
@@ -332,16 +326,11 @@ class Crossbar {
                       std::span<double> currents);
   void vmm_ideal(std::span<const double> v_rows, std::span<double> currents);
 
-  /// Shared tier-1/2 current accumulation: currents[c] += v_r * g[r][c]
-  /// over the given flat conductance matrix, same element order and
-  /// rounding as tier 0's pre-noise accumulation (dispatched axpy rows).
-  void accumulate_currents_plain(std::span<const double> v_rows,
-                                 const double* g_flat,
-                                 std::span<double> currents) const;
-
-  /// Closed-form VMM energy (pJ) from the per-row conductance sums:
-  /// sum_r v_r^2 * rowsum[r] * t_read * 1e-3 — exact for tier 0's
-  /// per-cell energy formula because conductances are non-negative.
+  /// VMM array energy (pJ) from the per-row conductance sums:
+  /// sum_r v_r^2 * rowsum[r] * t_read * 1e-3 — the per-cell formula
+  /// sum_{r,c} |v_r * v_r * g| * t_read * 1e-3 collapsed, which is exact
+  /// because conductances are non-negative. Every tier charges this, so
+  /// array energy is table-independent and tiers 0 and 1 agree bitwise.
   double vmm_energy_from_rowsums(std::span<const double> v_rows,
                                  const std::vector<double>& rowsum) const;
 
@@ -384,13 +373,14 @@ class Crossbar {
   std::vector<double> g_eff_cache_;    ///< IR-drop-attenuated counterparts
   double g_true_sum_ = 0.0;            ///< sum of g_true (sneak background)
   // Fidelity-tier calibration tables, maintained alongside the conductance
-  // caches (rebuild + delta repair): target conductances for tier 2, and
-  // the per-column / per-row sums tier 1 derives its noise and energy from.
+  // caches (rebuild + delta repair): target conductances for tier 2, the
+  // per-column sums tier 1 derives its noise from, and the per-row sums
+  // every tier derives its array energy from.
   std::vector<double> g_ideal_cache_;    ///< target conductances, flat
   std::vector<double> g_eff_sq_colsum_;  ///< per-column sum of g_eff^2
   std::vector<double> g_eff_col_std_;    ///< sqrt(g_eff_sq_colsum_), cached
-  std::vector<double> g_eff_rowsum_;     ///< per-row sum of g_eff
-  std::vector<double> g_ideal_rowsum_;   ///< per-row sum of g_ideal
+  std::vector<double> g_eff_rowsum_;     ///< per-row sum of g_eff (exact)
+  std::vector<double> g_ideal_rowsum_;   ///< per-row sum of g_ideal (exact)
   bool g_cache_built_ = false;         ///< caches populated at least once
   bool g_all_dirty_ = true;            ///< full rebuild pending
 
@@ -399,6 +389,7 @@ class Crossbar {
   std::vector<std::uint32_t> dirty_cells_;
   std::vector<std::uint64_t> dirty_bits_;
   std::size_t dirty_words_per_row_ = 0;
+  std::vector<std::uint32_t> touched_;  ///< delta repair: rows, then cols
 
   std::vector<double> vmm_noise_scratch_;  ///< per-call noise-variance buffer
   std::vector<double> batch_energy_scratch_;  ///< per-sample energy (vmm_batch)

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -251,6 +253,21 @@ class Parser {
 /// an offset on malformed input.
 inline Value parse(std::string_view text) {
   return detail::Parser(text).parse();
+}
+
+/// `v` as an integer of type T (ids, counts, labels), exactly: throws
+/// std::runtime_error("bad '<field>'") unless `v` is a number with an
+/// integral value inside T's range, so inputs such as -1, 1.5, 1e30 or
+/// 2^64 never reach an undefined double-to-integer cast.
+template <typename T>
+T integer(const Value& v, std::string_view field) {
+  const double d = v.is_number() ? v.as_number() : std::nan("");
+  // 2^digits is exact in a double: the first value past T's range.
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(d >= static_cast<double>(std::numeric_limits<T>::min()) && d < hi) ||
+      d != std::floor(d))
+    throw std::runtime_error("bad '" + std::string(field) + "'");
+  return static_cast<T>(d);
 }
 
 }  // namespace cim::obs::json

@@ -127,16 +127,17 @@ bool parse_snapshot_json(std::string_view text, Snapshot& out,
     const json::Value& meta = doc.at("meta");
     s.meta.git_sha = meta.at("git_sha").as_string();
     s.meta.build_type = meta.at("build_type").as_string();
-    s.meta.threads = static_cast<std::size_t>(meta.at("threads").as_number());
+    s.meta.threads = json::integer<std::size_t>(meta.at("threads"),
+                                                "meta.threads");
     s.meta.simd_isa = meta.at("simd_isa").as_string();
     s.meta.mode = meta.at("cim_obs").as_string();
     if (meta.contains("unix_us"))  // absent in pre-PR10 exports
       s.meta.unix_us =
-          static_cast<std::uint64_t>(meta.at("unix_us").as_number());
+          json::integer<std::uint64_t>(meta.at("unix_us"), "meta.unix_us");
 
     for (const auto& [name, v] : doc.at("counters").as_object())
-      s.counters.emplace_back(name,
-                              static_cast<std::uint64_t>(v.as_number()));
+      s.counters.emplace_back(
+          name, json::integer<std::uint64_t>(v, "counters." + name));
     for (const auto& [name, v] : doc.at("gauges").as_object())
       s.gauges.emplace_back(name, v.as_number());
     for (const auto& [name, v] : doc.at("histograms").as_object()) {
@@ -145,8 +146,10 @@ bool parse_snapshot_json(std::string_view text, Snapshot& out,
       for (const auto& b : v.at("bounds").as_array())
         h.data.bounds.push_back(b.as_number());
       for (const auto& c : v.at("counts").as_array())
-        h.data.counts.push_back(static_cast<std::uint64_t>(c.as_number()));
-      h.data.count = static_cast<std::uint64_t>(v.at("count").as_number());
+        h.data.counts.push_back(json::integer<std::uint64_t>(
+            c, "histograms." + name + ".counts"));
+      h.data.count = json::integer<std::uint64_t>(
+          v.at("count"), "histograms." + name + ".count");
       h.data.sum = v.at("sum").as_number();
       if (h.data.counts.size() != h.data.bounds.size() + 1)
         throw std::runtime_error("histogram '" + name +
@@ -168,7 +171,8 @@ bool parse_snapshot_json(std::string_view text, Snapshot& out,
       Snapshot::SpanRow row;
       row.name = name;
       row.comp = component_from_name(v.at("component").as_string());
-      row.count = static_cast<std::uint64_t>(v.at("count").as_number());
+      row.count = json::integer<std::uint64_t>(v.at("count"),
+                                               "spans." + name + ".count");
       row.wall_ns = v.at("wall_ns").as_number();
       row.sim_time_ns = v.at("sim_time_ns").as_number();
       row.energy_pj = v.at("energy_pj").as_number();
@@ -177,7 +181,8 @@ bool parse_snapshot_json(std::string_view text, Snapshot& out,
     for (const auto& [name, v] : doc.at("components").as_object()) {
       Snapshot::ComponentRow row;
       row.comp = component_from_name(name);
-      row.events = static_cast<std::uint64_t>(v.at("events").as_number());
+      row.events = json::integer<std::uint64_t>(
+          v.at("events"), "components." + name + ".events");
       row.wall_ns = v.at("wall_ns").as_number();
       row.sim_time_ns = v.at("sim_time_ns").as_number();
       row.energy_pj = v.at("energy_pj").as_number();

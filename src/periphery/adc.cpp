@@ -20,13 +20,6 @@ Adc::Adc(AdcConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument("Adc: positive rate and full scale required");
 }
 
-std::uint32_t Adc::quantize(double current_ua) const {
-  const double clipped = std::clamp(current_ua, 0.0, cfg_.full_scale_ua);
-  const double scaled =
-      clipped / cfg_.full_scale_ua * static_cast<double>(max_code());
-  return static_cast<std::uint32_t>(std::lround(scaled));
-}
-
 bool Adc::clips(double current_ua) const {
   return current_ua < 0.0 || current_ua > cfg_.full_scale_ua;
 }

@@ -10,6 +10,7 @@
 /// anchored to the ISAAC 8-bit 1.28 GS/s SAR design point).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace cim::periphery {
@@ -37,8 +38,19 @@ class Adc {
   int bits() const { return cfg_.bits; }
   std::uint32_t max_code() const { return (1u << cfg_.bits) - 1; }
 
-  /// Quantizes a current (uA) to a code; clips outside [0, full_scale].
-  std::uint32_t quantize(double current_ua) const;
+  /// Quantizes a current (uA) to a code; clips outside [0, full_scale]
+  /// (NaN reads as 0). Rounds half away from zero, exactly as std::lround
+  /// would: the scaled value is non-negative and below 2^14, so splitting
+  /// off its integer part is exact. Inline and libm-free — the tile calls
+  /// it twice per column per bit-serial cycle.
+  std::uint32_t quantize(double current_ua) const {
+    const double clipped =
+        std::min(std::max(0.0, current_ua), cfg_.full_scale_ua);
+    const double scaled =
+        clipped / cfg_.full_scale_ua * static_cast<double>(max_code());
+    const auto whole = static_cast<std::uint32_t>(scaled);
+    return whole + (scaled - static_cast<double>(whole) >= 0.5 ? 1u : 0u);
+  }
 
   /// True when `current_ua` falls outside the converter's input range, i.e.
   /// quantize() would clip it. The per-column saturation signal fed to the

@@ -1,9 +1,7 @@
 #include "serve/reqlog.hpp"
 
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -56,13 +54,7 @@ void write_lines(std::ostream& os, const std::vector<Completion>& completions,
 /// An integral field that must fit `T` exactly (ids, counts, labels).
 template <typename T>
 T integer(const obs::json::Value& v, const char* key) {
-  const double d = v.at(key).as_number();
-  // 2^digits is exact in a double: the first value past T's range.
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (!(d >= static_cast<double>(std::numeric_limits<T>::min()) && d < hi) ||
-      d != std::floor(d))
-    throw std::runtime_error(std::string("bad '") + key + "'");
-  return static_cast<T>(d);
+  return obs::json::integer<T>(v.at(key), key);
 }
 
 /// An enum field; `parse` is the inverse of the enum's *_name function.

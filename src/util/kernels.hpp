@@ -21,11 +21,11 @@
 ///    separate mul+add on every table, so it is in fact bit-identical
 ///    across tables — but callers should still only rely on the weaker
 ///    per-table determinism.
-///  - `vmm_row_accumulate`'s `currents` / `noise_var` outputs preserve the
-///    exact element order and expression shapes of the historical crossbar
-///    VMM loop on every table — the crossbar's bit-identical output
-///    contract (serial vmm == batched vmm == any CIM_SIMD setting) depends
-///    on it. Only its `energy` reduction reassociates across tables.
+///  - `vmm` reads the whole array in register blocks of columns, but each
+///    output element still sees one separate mul-then-add per active row,
+///    in row order, so its `currents` / `noise_var` are bit-identical on
+///    every table — the crossbar's contract (serial vmm == batched vmm ==
+///    any CIM_SIMD setting, tiers 0-2, energy included) rests on it.
 ///  - `dot_serial` is the order-preserving escape hatch: strict
 ///    left-to-right summation, never dispatched, bit-identical everywhere.
 ///    Route callers that require reproducible sums across ISA settings
@@ -63,23 +63,22 @@ inline void axpy(double a, const double* x, double* y, std::size_t n) {
   simd::active().axpy(a, x, y, n);
 }
 
-/// Fused crossbar-VMM row update over one wordline:
+/// Whole-array crossbar VMM over a flat row-major `rows` x `cols`
+/// conductance matrix `g`:
 ///
-///   i            = v * g[c]
-///   currents[c] += i
-///   noise_var[c] += (noise_frac * i)^2
-///   energy      += |v * i| * t_read_ns * 1e-3        (pJ)
+///   currents[c]  = sum_r  v[r] * g[r][c]
+///   noise_var[c] = sum_r (noise_frac * v[r] * g[r][c])^2   (if non-null)
 ///
-/// `currents` / `noise_var` replicate the historical per-element rounding
-/// on every table (bit-identical across CIM_SIMD settings). `energy` is a
-/// reduction: serial chain on scalar, per-lane partials on SIMD tables —
-/// deterministic per table, ulp drift across tables.
-inline void vmm_row_accumulate(double v, const double* g, double* currents,
-                               double* noise_var, double noise_frac,
-                               double t_read_ns, std::size_t n,
-                               double& energy) {
-  simd::active().vmm_row_accumulate(v, g, currents, noise_var, noise_frac,
-                                    t_read_ns, n, energy);
+/// Both outputs are overwritten. Rows with v[r] == 0 are skipped; the
+/// others accumulate in row order from 0.0, each term a separate multiply
+/// then add — the rounding of a row-by-row axpy sweep, on every table.
+/// With `noise_var` null only the currents are computed. Array energy is
+/// not a kernel output: it is a closed form over per-row conductance sums
+/// (Crossbar::vmm_energy_from_rowsums).
+inline void vmm(const double* v, const double* g, std::size_t rows,
+                std::size_t cols, double* currents, double* noise_var,
+                double noise_frac) {
+  simd::active().vmm(v, g, rows, cols, currents, noise_var, noise_frac);
 }
 
 /// C (m x n) += A (m x k) * B (k x n), all row-major with the given leading

@@ -3,13 +3,10 @@
 ///
 /// Compiled with -mavx2 -mfma -ffp-contract=off (src/util/CMakeLists.txt):
 /// contraction is disabled so the element-wise kernels (axpy, gemm's inner
-/// axpy, vmm_row_accumulate's currents/noise_var updates) keep the separate
+/// axpy, vmm's currents/noise_var updates) keep the separate
 /// multiply-then-add rounding of the scalar baseline and stay bit-identical
 /// to it. FMA is used only where the contract already permits
-/// reassociation: the dot reduction. The energy reduction of
-/// vmm_row_accumulate runs in four per-lane partial sums (columns c, c+4,
-/// ... per lane) reduced once at the end — deterministic, but reassociated
-/// relative to the scalar serial chain.
+/// reassociation: the dot reduction.
 #include "util/kernels_impl.hpp"
 
 #if CIM_SIMD_X86 && defined(__AVX2__) && defined(__FMA__)
@@ -17,7 +14,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 
 namespace cim::util::kernels::detail {
 
@@ -69,42 +65,102 @@ void axpy_avx2(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-void vmm_row_accumulate_avx2(double v, const double* g, double* currents,
-                             double* noise_var, double noise_frac,
-                             double t_read_ns, std::size_t n, double& energy) {
-  const __m256d vv = _mm256_set1_pd(v);
-  const __m256d vnf = _mm256_set1_pd(noise_frac);
-  const __m256d vt = _mm256_set1_pd(t_read_ns);
-  const __m256d vmilli = _mm256_set1_pd(1e-3);
-  const __m256d abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(
-      static_cast<long long>(0x7fffffffffffffffULL)));
-  __m256d e_acc = _mm256_setzero_pd();
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    const __m256d gi = _mm256_loadu_pd(g + c);
-    const __m256d icur = _mm256_mul_pd(vv, gi);
-    _mm256_storeu_pd(currents + c,
-                     _mm256_add_pd(_mm256_loadu_pd(currents + c), icur));
-    const __m256d cell_noise = _mm256_mul_pd(vnf, icur);
-    _mm256_storeu_pd(noise_var + c,
-                     _mm256_add_pd(_mm256_loadu_pd(noise_var + c),
-                                   _mm256_mul_pd(cell_noise, cell_noise)));
-    // Same per-element term shape as the scalar chain: |v*i| * t * 1e-3.
-    const __m256d vi = _mm256_and_pd(_mm256_mul_pd(vv, icur), abs_mask);
-    e_acc = _mm256_add_pd(e_acc,
-                          _mm256_mul_pd(_mm256_mul_pd(vi, vt), vmilli));
+namespace {
+
+// One register block of kNv vectors (4 columns each) starting at column
+// c0: currents (and noise variance) stay in ymm registers while the listed
+// rows stream past in row order. Each lane does the scalar kernel's
+// separate mul-then-add per row, so the block is bit-identical to it.
+// `tail` masks the last vector (all lanes set when full); masked-off lanes
+// load as zero and are never stored.
+template <int kNv, bool kNoise>
+void vmm_block(const double* v, const std::uint32_t* active, std::size_t n,
+               const double* g, std::size_t cols, std::size_t c0,
+               __m256i tail, __m256d nf, double* currents,
+               double* noise_var) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  const auto mask = [&](int j) { return j == kNv - 1 ? tail : all; };
+  __m256d cur[kNv], var[kNv];
+#pragma GCC unroll 4
+  for (int j = 0; j < kNv; ++j) {
+    cur[j] = _mm256_maskload_pd(currents + c0 + 4 * j, mask(j));
+    if constexpr (kNoise)
+      var[j] = _mm256_maskload_pd(noise_var + c0 + 4 * j, mask(j));
   }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, e_acc);
-  double e = energy + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
-  for (; c < n; ++c) {
-    const double i = v * g[c];
-    currents[c] += i;
-    const double cell_noise = noise_frac * i;
-    noise_var[c] += cell_noise * cell_noise;
-    e += std::abs(v * i) * t_read_ns * 1e-3;
+  for (std::size_t k = 0; k < n; ++k) {
+    const __m256d vr = _mm256_set1_pd(v[active[k]]);
+    const double* gr = g + active[k] * cols + c0;
+#pragma GCC unroll 4
+    for (int j = 0; j < kNv; ++j) {
+      const __m256d i =
+          _mm256_mul_pd(vr, _mm256_maskload_pd(gr + 4 * j, mask(j)));
+      cur[j] = _mm256_add_pd(cur[j], i);
+      if constexpr (kNoise) {
+        const __m256d cell_noise = _mm256_mul_pd(nf, i);
+        var[j] = _mm256_add_pd(var[j], _mm256_mul_pd(cell_noise, cell_noise));
+      }
+    }
   }
-  energy = e;
+#pragma GCC unroll 4
+  for (int j = 0; j < kNv; ++j) {
+    _mm256_maskstore_pd(currents + c0 + 4 * j, mask(j), cur[j]);
+    if constexpr (kNoise)
+      _mm256_maskstore_pd(noise_var + c0 + 4 * j, mask(j), var[j]);
+  }
+}
+
+template <bool kNoise>
+void vmm_impl(const double* v, const double* g, std::size_t rows,
+              std::size_t cols, double* currents, double* noise_var,
+              double noise_frac) {
+  const __m256d nf = _mm256_set1_pd(noise_frac);
+  const __m256i full = _mm256_set1_epi64x(-1);
+  std::uint32_t active[kVmmRowChunk];
+  for (std::size_t r0 = 0; r0 < rows; r0 += kVmmRowChunk) {
+    const std::size_t n = list_active_rows(v, r0, rows, active);
+    if (n == 0) continue;
+    std::size_t c0 = 0;
+    for (; c0 + 16 <= cols; c0 += 16)
+      vmm_block<4, kNoise>(v, active, n, g, cols, c0, full, nf, currents,
+                           noise_var);
+    const std::size_t rest = cols - c0;  // < 16 columns: 0-4 vectors
+    const auto lanes = static_cast<long long>(rest % 4 == 0 ? 4 : rest % 4);
+    // Lane l is live when l < lanes (maskload reads the sign bit).
+    const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes),
+                                            _mm256_set_epi64x(3, 2, 1, 0));
+    switch ((rest + 3) / 4) {
+      case 1:
+        vmm_block<1, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      case 2:
+        vmm_block<2, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      case 3:
+        vmm_block<3, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      case 4:
+        vmm_block<4, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
+void vmm_avx2(const double* v, const double* g, std::size_t rows,
+              std::size_t cols, double* currents, double* noise_var,
+              double noise_frac) {
+  std::fill(currents, currents + cols, 0.0);
+  if (noise_var == nullptr)
+    return vmm_impl<false>(v, g, rows, cols, currents, nullptr, noise_frac);
+  std::fill(noise_var, noise_var + cols, 0.0);
+  vmm_impl<true>(v, g, rows, cols, currents, noise_var, noise_frac);
 }
 
 namespace {

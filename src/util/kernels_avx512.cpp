@@ -3,10 +3,9 @@
 ///
 /// Compiled with -mavx512f -mavx512dq -mavx512vl -mfma -ffp-contract=off
 /// (src/util/CMakeLists.txt). Same contract split as the AVX2 TU: the
-/// element-wise kernels use separate multiply and add so they stay
-/// bit-identical to the scalar baseline; only the dot reduction uses FMA,
-/// and the vmm_row energy reduction runs in eight per-lane partials
-/// reduced once at the end.
+/// element-wise kernels (axpy, gemm's inner axpy, vmm) use separate
+/// multiply and add so they stay bit-identical to the scalar baseline;
+/// only the dot reduction uses FMA.
 #include "util/kernels_impl.hpp"
 
 #if CIM_SIMD_X86 && defined(__AVX512F__) && defined(__AVX512DQ__) && \
@@ -15,7 +14,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 
 namespace cim::util::kernels::detail {
 
@@ -65,39 +63,100 @@ void axpy_avx512(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-void vmm_row_accumulate_avx512(double v, const double* g, double* currents,
-                               double* noise_var, double noise_frac,
-                               double t_read_ns, std::size_t n,
-                               double& energy) {
-  const __m512d vv = _mm512_set1_pd(v);
-  const __m512d vnf = _mm512_set1_pd(noise_frac);
-  const __m512d vt = _mm512_set1_pd(t_read_ns);
-  const __m512d vmilli = _mm512_set1_pd(1e-3);
-  __m512d e_acc = _mm512_setzero_pd();
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m512d gi = _mm512_loadu_pd(g + c);
-    const __m512d icur = _mm512_mul_pd(vv, gi);
-    _mm512_storeu_pd(currents + c,
-                     _mm512_add_pd(_mm512_loadu_pd(currents + c), icur));
-    const __m512d cell_noise = _mm512_mul_pd(vnf, icur);
-    _mm512_storeu_pd(noise_var + c,
-                     _mm512_add_pd(_mm512_loadu_pd(noise_var + c),
-                                   _mm512_mul_pd(cell_noise, cell_noise)));
-    // Same per-element term shape as the scalar chain: |v*i| * t * 1e-3.
-    const __m512d vi = _mm512_abs_pd(_mm512_mul_pd(vv, icur));
-    e_acc = _mm512_add_pd(e_acc,
-                          _mm512_mul_pd(_mm512_mul_pd(vi, vt), vmilli));
+namespace {
+
+// One register block of kNv vectors (8 columns each) starting at column
+// c0: currents (and noise variance) stay in zmm registers while the listed
+// rows stream past in row order. Each lane does the scalar kernel's
+// separate mul-then-add per row, so the block is bit-identical to it.
+// `tail` masks the last vector (0xFF when full); masked-off lanes load as
+// zero and are never stored.
+template <int kNv, bool kNoise>
+void vmm_block(const double* v, const std::uint32_t* active, std::size_t n,
+               const double* g, std::size_t cols, std::size_t c0,
+               __mmask8 tail, __m512d nf, double* currents,
+               double* noise_var) {
+  const auto mask = [tail](int j) {
+    return j == kNv - 1 ? tail : static_cast<__mmask8>(0xFF);
+  };
+  __m512d cur[kNv], var[kNv];
+#pragma GCC unroll 4
+  for (int j = 0; j < kNv; ++j) {
+    cur[j] = _mm512_maskz_loadu_pd(mask(j), currents + c0 + 8 * j);
+    if constexpr (kNoise)
+      var[j] = _mm512_maskz_loadu_pd(mask(j), noise_var + c0 + 8 * j);
   }
-  double e = energy + _mm512_reduce_add_pd(e_acc);
-  for (; c < n; ++c) {
-    const double i = v * g[c];
-    currents[c] += i;
-    const double cell_noise = noise_frac * i;
-    noise_var[c] += cell_noise * cell_noise;
-    e += std::abs(v * i) * t_read_ns * 1e-3;
+  for (std::size_t k = 0; k < n; ++k) {
+    const __m512d vr = _mm512_set1_pd(v[active[k]]);
+    const double* gr = g + active[k] * cols + c0;
+#pragma GCC unroll 4
+    for (int j = 0; j < kNv; ++j) {
+      const __m512d i =
+          _mm512_mul_pd(vr, _mm512_maskz_loadu_pd(mask(j), gr + 8 * j));
+      cur[j] = _mm512_add_pd(cur[j], i);
+      if constexpr (kNoise) {
+        const __m512d cell_noise = _mm512_mul_pd(nf, i);
+        var[j] = _mm512_add_pd(var[j], _mm512_mul_pd(cell_noise, cell_noise));
+      }
+    }
   }
-  energy = e;
+#pragma GCC unroll 4
+  for (int j = 0; j < kNv; ++j) {
+    _mm512_mask_storeu_pd(currents + c0 + 8 * j, mask(j), cur[j]);
+    if constexpr (kNoise)
+      _mm512_mask_storeu_pd(noise_var + c0 + 8 * j, mask(j), var[j]);
+  }
+}
+
+template <bool kNoise>
+void vmm_impl(const double* v, const double* g, std::size_t rows,
+              std::size_t cols, double* currents, double* noise_var,
+              double noise_frac) {
+  const __m512d nf = _mm512_set1_pd(noise_frac);
+  std::uint32_t active[kVmmRowChunk];
+  for (std::size_t r0 = 0; r0 < rows; r0 += kVmmRowChunk) {
+    const std::size_t n = list_active_rows(v, r0, rows, active);
+    if (n == 0) continue;
+    std::size_t c0 = 0;
+    for (; c0 + 32 <= cols; c0 += 32)
+      vmm_block<4, kNoise>(v, active, n, g, cols, c0, 0xFF, nf, currents,
+                           noise_var);
+    const std::size_t rest = cols - c0;  // < 32 columns: 0-4 vectors
+    const auto tail = static_cast<__mmask8>(
+        rest % 8 == 0 ? 0xFF : (1u << (rest % 8)) - 1u);
+    switch ((rest + 7) / 8) {
+      case 1:
+        vmm_block<1, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      case 2:
+        vmm_block<2, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      case 3:
+        vmm_block<3, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      case 4:
+        vmm_block<4, kNoise>(v, active, n, g, cols, c0, tail, nf, currents,
+                             noise_var);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
+void vmm_avx512(const double* v, const double* g, std::size_t rows,
+                std::size_t cols, double* currents, double* noise_var,
+                double noise_frac) {
+  std::fill(currents, currents + cols, 0.0);
+  if (noise_var == nullptr)
+    return vmm_impl<false>(v, g, rows, cols, currents, nullptr, noise_frac);
+  std::fill(noise_var, noise_var + cols, 0.0);
+  vmm_impl<true>(v, g, rows, cols, currents, noise_var, noise_frac);
 }
 
 namespace {

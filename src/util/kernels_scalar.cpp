@@ -3,11 +3,12 @@
 ///
 /// These are the historical util::kernels implementations moved verbatim
 /// (same expression shapes, same accumulation order), so dispatch forced to
-/// `scalar` reproduces the pre-dispatch simulator bit-for-bit. Compiled
+/// `scalar` reproduces the pre-dispatch simulator bit-for-bit. `vmm` is the
+/// whole-array crossbar read; it blocks columns but keeps the per-element
+/// rounding of the row-by-row sweep it replaced. Compiled
 /// without any -m ISA flags: the baseline x86-64 / portable code the repo
 /// always produced.
 #include <algorithm>
-#include <cmath>
 
 #include "util/kernels_impl.hpp"
 
@@ -30,19 +31,69 @@ void axpy_scalar(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void vmm_row_accumulate_scalar(double v, const double* g, double* currents,
-                               double* noise_var, double noise_frac,
-                               double t_read_ns, std::size_t n,
-                               double& energy) {
-  double e = energy;
-  for (std::size_t c = 0; c < n; ++c) {
-    const double i = v * g[c];
-    currents[c] += i;
-    const double cell_noise = noise_frac * i;
-    noise_var[c] += cell_noise * cell_noise;
-    e += std::abs(v * i) * t_read_ns * 1e-3;
+namespace {
+
+// One column block of `w` (<= kCb) columns: the partial sums live in
+// locals while the listed rows are walked in row order, so each element
+// sees the same mul-then-add sequence as a row-by-row sweep.
+constexpr std::size_t kCb = 8;
+
+template <bool kNoise>
+void vmm_block(const double* v, const std::uint32_t* active, std::size_t n,
+               const double* g, std::size_t cols, std::size_t c0,
+               std::size_t w, double noise_frac, double* currents,
+               double* noise_var) {
+  double cur[kCb], var[kCb];
+  for (std::size_t j = 0; j < w; ++j) {
+    cur[j] = currents[c0 + j];
+    if constexpr (kNoise) var[j] = noise_var[c0 + j];
   }
-  energy = e;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double vr = v[active[k]];
+    const double* gr = g + active[k] * cols + c0;
+    for (std::size_t j = 0; j < w; ++j) {
+      const double i = vr * gr[j];
+      cur[j] += i;
+      if constexpr (kNoise) {
+        const double cell_noise = noise_frac * i;
+        var[j] += cell_noise * cell_noise;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < w; ++j) {
+    currents[c0 + j] = cur[j];
+    if constexpr (kNoise) noise_var[c0 + j] = var[j];
+  }
+}
+
+template <bool kNoise>
+void vmm_impl(const double* v, const double* g, std::size_t rows,
+              std::size_t cols, double* currents, double* noise_var,
+              double noise_frac) {
+  std::uint32_t active[kVmmRowChunk];
+  for (std::size_t r0 = 0; r0 < rows; r0 += kVmmRowChunk) {
+    const std::size_t n = list_active_rows(v, r0, rows, active);
+    if (n == 0) continue;
+    std::size_t c0 = 0;
+    for (; c0 + kCb <= cols; c0 += kCb)
+      vmm_block<kNoise>(v, active, n, g, cols, c0, kCb, noise_frac, currents,
+                        noise_var);
+    if (c0 < cols)
+      vmm_block<kNoise>(v, active, n, g, cols, c0, cols - c0, noise_frac,
+                        currents, noise_var);
+  }
+}
+
+}  // namespace
+
+void vmm_scalar(const double* v, const double* g, std::size_t rows,
+                std::size_t cols, double* currents, double* noise_var,
+                double noise_frac) {
+  std::fill(currents, currents + cols, 0.0);
+  if (noise_var == nullptr)
+    return vmm_impl<false>(v, g, rows, cols, currents, nullptr, noise_frac);
+  std::fill(noise_var, noise_var + cols, 0.0);
+  vmm_impl<true>(v, g, rows, cols, currents, noise_var, noise_frac);
 }
 
 namespace {

@@ -15,17 +15,15 @@ namespace {
 using namespace cim::util::kernels::detail;
 
 const KernelTable kScalarTable{Isa::kScalar, &dot_scalar, &axpy_scalar,
-                               &gemm_accumulate_scalar,
-                               &vmm_row_accumulate_scalar};
+                               &gemm_accumulate_scalar, &vmm_scalar};
 
 #if CIM_SIMD_HAVE_AVX2
 const KernelTable kAvx2Table{Isa::kAvx2, &dot_avx2, &axpy_avx2,
-                             &gemm_accumulate_avx2, &vmm_row_accumulate_avx2};
+                             &gemm_accumulate_avx2, &vmm_avx2};
 #endif
 #if CIM_SIMD_HAVE_AVX512
 const KernelTable kAvx512Table{Isa::kAvx512, &dot_avx512, &axpy_avx512,
-                               &gemm_accumulate_avx512,
-                               &vmm_row_accumulate_avx512};
+                               &gemm_accumulate_avx512, &vmm_avx512};
 #endif
 
 Isa detect_max_isa() {

@@ -1,7 +1,7 @@
 /// \file simd_dispatch.hpp
 /// \brief Runtime ISA dispatch for the util::kernels micro-kernels.
 ///
-/// The numeric kernels (dot, axpy, gemm_accumulate, vmm_row_accumulate)
+/// The numeric kernels (dot, axpy, gemm_accumulate, vmm)
 /// exist in up to three implementations — portable scalar, AVX2+FMA, and
 /// AVX-512 — compiled into separate translation units with per-file ISA
 /// flags. At startup the best table supported by both the build and the
@@ -13,14 +13,17 @@
 /// Bit-exactness contract across tables (tested by tests/util
 /// /test_simd_kernels.cpp, enforced by compiling the SIMD TUs with
 /// -ffp-contract=off so mul+add never silently fuses):
-///  - `axpy`, `gemm_accumulate`, and the `currents` / `noise_var` outputs
-///    of `vmm_row_accumulate` are **bit-identical** on every table: all are
-///    element-wise mul-then-add updates in the same element order, and the
-///    SIMD variants use separate multiply and add (no FMA) for them.
-///  - `dot` and the `energy` reduction of `vmm_row_accumulate` are
-///    *reductions*: each table reassociates them differently (scalar: the
-///    historical 4-way / serial chains; SIMD: per-lane partials reduced at
-///    the end). Deterministic per table, ulp-level drift between tables.
+///  - `axpy`, `gemm_accumulate` and both outputs of `vmm` are
+///    **bit-identical** on every table: all are element-wise mul-then-add
+///    updates in the same element order, and the SIMD variants use
+///    separate multiply and add (no FMA) for them. Every crossbar VMM
+///    output is therefore identical across tables — currents, noise and
+///    array energy, which the crossbar derives from exact per-row
+///    conductance sums outside the kernel.
+///  - `dot` is a *reduction*: each table reassociates it differently
+///    (scalar: the historical 4-way chains; SIMD: per-lane FMA partials
+///    reduced at the end). Deterministic per table, ulp-level drift
+///    between tables.
 ///
 /// This module deliberately depends on nothing else in the repo so both
 /// cim_util (the kernels) and cim_obs (build-info stamping) can link it.
@@ -57,10 +60,9 @@ struct KernelTable {
                           std::size_t ldb, double* c, std::size_t ldc,
                           std::size_t m, std::size_t k,
                           std::size_t n) = nullptr;
-  void (*vmm_row_accumulate)(double v, const double* g, double* currents,
-                             double* noise_var, double noise_frac,
-                             double t_read_ns, std::size_t n,
-                             double& energy) = nullptr;
+  void (*vmm)(const double* v, const double* g, std::size_t rows,
+              std::size_t cols, double* currents, double* noise_var,
+              double noise_frac) = nullptr;
 };
 
 /// The active kernel table: one relaxed load; first call resolves CPUID +

@@ -278,6 +278,39 @@ TEST(CacheMaintenance, SingleWriteBetweenVmmsTakesDeltaPath) {
   EXPECT_GE(st.cache_dirty_cells, 1u);
 }
 
+// Array energy is a closed form over the per-row conductance sums, which
+// delta repair re-sums exactly. So after read-disturb deltas, tier-0 and
+// tier-1 VMM energy stay bitwise-equal to an always-rebuild twin, and the
+// two tiers charge the same energy for the same state and input.
+TEST(CacheMaintenance, VmmEnergyAfterDeltasMatchesRebuildTwin) {
+  auto incr = make_programmed(/*incremental=*/true, /*passive=*/false);
+  auto full = make_programmed(/*incremental=*/false, /*passive=*/false);
+  Rng op_rng_a(191), op_rng_b(191);
+  std::vector<double> v(kN);
+  for (std::size_t r = 0; r < kN; ++r)
+    v[r] = r % 3 == 0 ? 0.0 : 0.05 + 0.01 * static_cast<double>(r);
+
+  using cim::crossbar::FidelityTier;
+  for (int round = 0; round < 6; ++round) {
+    apply_op(incr, Op::kReadDisturb, op_rng_a);
+    apply_op(full, Op::kReadDisturb, op_rng_b);
+    // Tier 1 first: it leaves the cells alone, so tier 0 sees the same
+    // state (its own read disturb lands after its energy is charged).
+    (void)incr.vmm(v, FidelityTier::kCalibrated);
+    (void)full.vmm(v, FidelityTier::kCalibrated);
+    const double e1 = incr.last_op_energy_pj();
+    ASSERT_EQ(e1, full.last_op_energy_pj()) << "tier 1, round " << round;
+    (void)incr.vmm(v, FidelityTier::kFull);
+    (void)full.vmm(v, FidelityTier::kFull);
+    const double e0 = incr.last_op_energy_pj();
+    ASSERT_EQ(e0, full.last_op_energy_pj()) << "tier 0, round " << round;
+    ASSERT_EQ(e0, e1) << "tier 0 vs tier 1, round " << round;
+    ASSERT_GT(e0, 0.0);
+  }
+  EXPECT_GT(incr.stats().cache_delta_updates, 0u);
+  EXPECT_EQ(full.stats().cache_delta_updates, 0u);
+}
+
 // Mutating more cells than the spill threshold falls back to one rebuild.
 TEST(CacheMaintenance, DirtyListSpillsToFullRebuild) {
   auto xbar = make_programmed_cfg(maintenance_config(/*incremental=*/true));

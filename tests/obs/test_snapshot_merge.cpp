@@ -175,6 +175,48 @@ TEST(SnapshotMerge, ParseRejectsInvalidHistogramLayout) {
   EXPECT_NE(err.find("sum to count"), std::string::npos) << err;
 }
 
+TEST(SnapshotMerge, ParseRejectsNonIntegerCountsNamingTheField) {
+  // Integer fields must hold an exact integer in range: negative,
+  // fractional, huge and 2^64 values are errors naming the field, never an
+  // undefined double-to-integer cast.
+  const auto doc = [](const std::string& threads, const std::string& counter,
+                      const std::string& bucket, const std::string& span) {
+    return "{\"meta\":{\"git_sha\":\"t\",\"build_type\":\"Release\","
+           "\"threads\":" + threads +
+           ",\"simd_isa\":\"scalar\",\"cim_obs\":\"metrics\"},"
+           "\"counters\":{\"c\":" + counter + "},\"gauges\":{},"
+           "\"histograms\":{\"h\":{\"bounds\":[1],\"counts\":[" + bucket +
+           ",0],\"count\":1,\"sum\":0}},"
+           "\"spans\":{\"s\":{\"component\":\"array\",\"count\":" + span +
+           ",\"wall_ns\":0,\"sim_time_ns\":0,\"energy_pj\":0}},"
+           "\"components\":{}}";
+  };
+  Snapshot out;
+  std::string err;
+  ASSERT_TRUE(parse_snapshot_json(doc("4", "1", "1", "1"), out, &err)) << err;
+  EXPECT_EQ(out.meta.threads, 4u);
+  // The largest exact uint64 double below 2^64 still fits.
+  ASSERT_TRUE(parse_snapshot_json(
+      doc("4", "18446744073709549568", "1", "1"), out, &err))
+      << err;
+  EXPECT_EQ(out.counters.at(0).second, 18446744073709549568ULL);
+
+  for (const std::string bad : {"-1", "1.5", "1e30", "18446744073709551616"}) {
+    const std::pair<std::string, std::string> cases[] = {
+        {doc(bad, "1", "1", "1"), "meta.threads"},
+        {doc("4", bad, "1", "1"), "counters.c"},
+        {doc("4", "1", bad, "1"), "histograms.h.counts"},
+        {doc("4", "1", "1", bad), "spans.s.count"},
+    };
+    for (const auto& [text, field] : cases) {
+      err.clear();
+      EXPECT_FALSE(parse_snapshot_json(text, out, &err)) << field << "=" << bad;
+      EXPECT_NE(err.find("bad '" + field + "'"), std::string::npos)
+          << field << "=" << bad << ": " << err;
+    }
+  }
+}
+
 TEST(SnapshotMerge, AbsorbIntoLiveRegistry) {
   Registry& reg = Registry::global();
   reg.reset();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace cim::periphery {
 namespace {
@@ -13,6 +16,32 @@ TEST(Adc, QuantizeDequantizeRoundTrip) {
     const double back = adc.dequantize(adc.quantize(x));
     EXPECT_NEAR(back, x, adc.lsb_ua());
   }
+}
+
+TEST(Adc, QuantizeMatchesLroundIncludingHalfwayEdges) {
+  // quantize() rounds without libm; it must pick the code std::lround
+  // picks on the clipped, scaled current — at exact halves, one ulp either
+  // side of them, and at both ends of the range.
+  for (const int bits : {1, 4, 8, 14}) {
+    const Adc adc({.bits = bits, .full_scale_ua = 100.0});
+    const double fs = adc.config().full_scale_ua;
+    const double mc = static_cast<double>(adc.max_code());
+    const auto expected = [&](double x) {
+      const double scaled = std::clamp(x, 0.0, fs) / fs * mc;
+      return static_cast<std::uint32_t>(std::lround(scaled));
+    };
+    std::vector<double> xs = {-1.0, -0.0, 0.0, fs, fs * 2.0,
+                              std::nextafter(fs, 0.0)};
+    for (double code = 0.0; code < mc; code += mc > 64.0 ? mc / 61.0 : 1.0) {
+      const double half = (std::floor(code) + 0.5) / mc * fs;
+      xs.insert(xs.end(), {half, std::nextafter(half, 0.0),
+                           std::nextafter(half, fs), code / mc * fs});
+    }
+    for (const double x : xs)
+      ASSERT_EQ(adc.quantize(x), expected(x)) << "bits=" << bits << " x=" << x;
+  }
+  const Adc adc({.bits = 8});
+  EXPECT_EQ(adc.quantize(std::nan("")), 0u);
 }
 
 TEST(Adc, ClipsOutsideRange) {

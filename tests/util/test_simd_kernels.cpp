@@ -4,10 +4,10 @@
 // always present; avx2/avx512 when built + CPUID-supported) at edge sizes
 // (0, 1, 3, 5, odd vector tails) and deliberately misaligned buffers, and
 // checks the simd_dispatch contract:
-//   - axpy / gemm_accumulate / vmm_row_accumulate{currents,noise_var} are
-//     BIT-IDENTICAL to the portable scalar table,
-//   - dot / vmm_row energy are reductions: deterministic per table, only
-//     tolerance-equal across tables,
+//   - axpy / gemm_accumulate / vmm{currents,noise_var} are BIT-IDENTICAL to
+//     the portable scalar table, and vmm to a row-by-row mul-then-add sweep,
+//   - dot is a reduction: deterministic per table, only tolerance-equal
+//     across tables,
 //   - dot_serial is the strict left-to-right escape hatch,
 //   - set_isa / table_for clamp unsupported requests downward.
 #include <gtest/gtest.h>
@@ -79,7 +79,7 @@ TEST(SimdDispatch, TableForClampsToSupported) {
     ASSERT_NE(t.dot, nullptr);
     ASSERT_NE(t.axpy, nullptr);
     ASSERT_NE(t.gemm_accumulate, nullptr);
-    ASSERT_NE(t.vmm_row_accumulate, nullptr);
+    ASSERT_NE(t.vmm, nullptr);
     EXPECT_LE(static_cast<int>(t.isa), static_cast<int>(max));
     if (static_cast<int>(req) <= static_cast<int>(max))
       EXPECT_EQ(t.isa, req);  // supported requests are honoured exactly
@@ -188,54 +188,88 @@ TEST(SimdKernels, GemmAccumulateBitIdenticalAcrossIsas) {
   }
 }
 
-TEST(SimdKernels, VmmRowAccumulateCurrentsNoiseBitIdentical) {
+TEST(SimdKernels, VmmBitIdenticalAcrossIsas) {
   const auto& scalar = simd::table_for(simd::Isa::kScalar);
-  const double noise_frac = 0.01;
-  const double t_read = 1.0;
+  const double noise_frac = 0.02;
+  // Column counts around every table's register block and vector width;
+  // row counts include one past the kernel's 1024-row pass.
+  const std::size_t kCols[] = {1, 7, 8, 9, 31, 32, 33, 130};
+  const std::size_t kRows[] = {1, 5, 64, 1030};
   for (simd::Isa isa : simd::supported_isas()) {
     const auto& t = simd::table_for(isa);
-    for (std::size_t n : kSizes) {
-      for (std::size_t off : kOffsets) {
-        // Conductances are non-negative in the crossbar; keep the fixture
-        // faithful (|pattern|) while voltages carry both signs.
-        auto g = make_vec(n, 41, off);
-        for (auto& v : g) v = std::abs(v);
-        const double v_in = pattern(n, 53);
+    for (std::size_t rows : kRows) {
+      for (std::size_t cols : kCols) {
+        for (std::size_t off : kOffsets) {
+          // Conductances are non-negative in the crossbar; voltages mix
+          // exact zeros (skipped rows), negatives and non-binary values.
+          auto g = make_vec(rows * cols, 41 + cols, off);
+          for (auto& x : g) x = std::abs(x);
+          auto v = make_vec(rows, 53 + rows);
+          for (std::size_t r = 0; r < rows; r += 3) v[r] = 0.0;
+          const double* gp = g.data() + off;
 
-        auto cur_ref = make_vec(n, 61, off);
-        auto var_ref = make_vec(n, 67, off);
-        for (auto& x : var_ref) x = std::abs(x);
-        auto cur_got = cur_ref;
-        auto var_got = var_ref;
-        double e_ref = 0.5, e_got = 0.5;
+          // Row-by-row reference: the historical per-row update.
+          std::vector<double> cur_ref(cols, 0.0), var_ref(cols, 0.0);
+          for (std::size_t r = 0; r < rows; ++r) {
+            if (v[r] == 0.0) continue;
+            for (std::size_t c = 0; c < cols; ++c) {
+              const double i = v[r] * gp[r * cols + c];
+              cur_ref[c] += i;
+              const double cell_noise = noise_frac * i;
+              var_ref[c] += cell_noise * cell_noise;
+            }
+          }
 
-        scalar.vmm_row_accumulate(v_in, g.data() + off, cur_ref.data() + off,
-                                  var_ref.data() + off, noise_frac, t_read, n,
-                                  e_ref);
-        t.vmm_row_accumulate(v_in, g.data() + off, cur_got.data() + off,
-                             var_got.data() + off, noise_frac, t_read, n,
-                             e_got);
-
-        for (std::size_t i = 0; i < cur_ref.size(); ++i) {
-          ASSERT_EQ(cur_got[i], cur_ref[i])
-              << "currents isa=" << simd::isa_name(isa) << " n=" << n
-              << " off=" << off << " i=" << i;
-          ASSERT_EQ(var_got[i], var_ref[i])
-              << "noise_var isa=" << simd::isa_name(isa) << " n=" << n
-              << " off=" << off << " i=" << i;
+          // Outputs are overwritten, never accumulated into.
+          auto cur = make_vec(cols, 61, off);
+          auto var = make_vec(cols, 67, off);
+          t.vmm(v.data(), gp, rows, cols, cur.data() + off, var.data() + off,
+                noise_frac);
+          auto plain = make_vec(cols, 71, off);
+          t.vmm(v.data(), gp, rows, cols, plain.data() + off, nullptr,
+                noise_frac);
+          auto cur_s = make_vec(cols, 73);
+          auto var_s = make_vec(cols, 79);
+          scalar.vmm(v.data(), gp, rows, cols, cur_s.data(), var_s.data(),
+                     noise_frac);
+          for (std::size_t c = 0; c < cols; ++c) {
+            ASSERT_EQ(cur[off + c], cur_ref[c])
+                << "currents isa=" << simd::isa_name(isa) << " rows=" << rows
+                << " cols=" << cols << " off=" << off << " c=" << c;
+            ASSERT_EQ(var[off + c], var_ref[c])
+                << "noise_var isa=" << simd::isa_name(isa) << " rows=" << rows
+                << " cols=" << cols << " off=" << off << " c=" << c;
+            ASSERT_EQ(plain[off + c], cur_ref[c])
+                << "noise-free isa=" << simd::isa_name(isa);
+            ASSERT_EQ(cur[off + c], cur_s[c]);
+            ASSERT_EQ(var[off + c], var_s[c]);
+          }
+          // Nothing before the output window is touched.
+          for (std::size_t k = 0; k < off; ++k) {
+            ASSERT_EQ(cur[k], pattern(k, 61));
+            ASSERT_EQ(var[k], pattern(k, 67));
+          }
         }
-        // Energy is a reduction: tolerance across tables, exact re-run.
-        EXPECT_NEAR(e_got, e_ref, 1e-12 * (1.0 + std::abs(e_ref)))
-            << "isa=" << simd::isa_name(isa) << " n=" << n << " off=" << off;
-        // Re-run from the same starting state must reproduce bit-exactly.
-        double e_again = 0.5;
-        auto cur2 = make_vec(n, 61, off);
-        auto var2 = make_vec(n, 67, off);
-        for (auto& x : var2) x = std::abs(x);
-        t.vmm_row_accumulate(v_in, g.data() + off, cur2.data() + off,
-                             var2.data() + off, noise_frac, t_read, n,
-                             e_again);
-        EXPECT_EQ(e_again, e_got);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, VmmWithNoActiveRowsWritesZeros) {
+  // All-zero wordlines (and zero rows) must still clear both outputs.
+  const std::size_t cols = 33;
+  const auto g = make_vec(4 * cols, 5);
+  const std::vector<double> v(4, 0.0);
+  for (simd::Isa isa : simd::supported_isas()) {
+    const auto& t = simd::table_for(isa);
+    for (const std::size_t rows : {std::size_t{0}, std::size_t{4}}) {
+      auto cur = make_vec(cols, 7);
+      auto var = make_vec(cols, 9);
+      t.vmm(v.data(), g.data(), rows, cols, cur.data(), var.data(), 0.02);
+      for (std::size_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(cur[c], 0.0) << simd::isa_name(isa) << " rows=" << rows;
+        ASSERT_EQ(var[c], 0.0) << simd::isa_name(isa) << " rows=" << rows;
+        ASSERT_FALSE(std::signbit(cur[c]));
       }
     }
   }
@@ -256,5 +290,10 @@ TEST(SimdKernels, DispatchedWrappersFollowActiveTable) {
     kernels::axpy(2.5, a.data(), y_wrap.data(), n);
     t.axpy(2.5, a.data(), y_tab.data(), n);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y_wrap[i], y_tab[i]);
+    // a as 3 wordlines over a 3 x 11 slice of b.
+    std::vector<double> i_wrap(11), i_tab(11);
+    kernels::vmm(a.data(), b.data(), 3, 11, i_wrap.data(), nullptr, 0.0);
+    t.vmm(a.data(), b.data(), 3, 11, i_tab.data(), nullptr, 0.0);
+    for (std::size_t i = 0; i < 11; ++i) ASSERT_EQ(i_wrap[i], i_tab[i]);
   }
 }
