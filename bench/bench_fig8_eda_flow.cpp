@@ -57,14 +57,13 @@ int main() {
     util::Table t({"circuit", "family", "devices", "delay", "ADP", "verified"});
     t.set_title("Fig. 8 phase 3 — technology mapping (area-constrained)");
     for (const auto& bc : suite) {
-      const bool verify = bc.netlist.num_inputs() <= 9;
       for (const auto family : eda::all_logic_families()) {
         const auto rep = eda::run_flow(bc.name, bc.netlist, family,
-                                       {.reuse_cells = true, .verify = verify});
+                                       {.reuse_cells = true, .verify = true});
         t.add_row({bc.name, std::string(eda::logic_family_name(family)),
                    std::to_string(rep.devices), std::to_string(rep.delay),
                    util::Table::num(rep.area_delay_product, 0),
-                   verify ? (rep.verified ? "yes" : "NO!") : "skipped"});
+                   rep.verified ? "yes" : "NO!"});
       }
     }
     t.print(std::cout);
@@ -124,7 +123,7 @@ int main() {
   // and brackets energy; its probabilistic expectation must land within 15%
   // of the mean charge measured by executing every input assignment on a
   // real crossbar at the same technology point (STT-MRAM, binary, no IR
-  // drop — the verify_* configuration).
+  // drop).
   double max_energy_err_pct = 0.0;
   double max_time_err_pct = 0.0;
   {

@@ -1,14 +1,15 @@
 /// \file logic_flow.cpp
 /// \brief The Fig. 8 EDA flow end to end: take a Boolean specification,
 ///        synthesize it (netlist -> AIG -> MIG / NOR basis), map it onto
-///        each ReRAM stateful-logic family, execute the mapped programs on
-///        the crossbar simulator and verify them against the truth table.
+///        each ReRAM stateful-logic family, verify the mapped programs
+///        against the truth table and execute one on the crossbar simulator.
 #include <iostream>
 
 #include "eda/flow.hpp"
 #include "eda/imply_mapper.hpp"
 #include "eda/magic_mapper.hpp"
 #include "eda/majority_mapper.hpp"
+#include "eda/revamp_isa.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -41,11 +42,12 @@ int main() {
   }
   {
     const auto sched = eda::schedule_revamp(mig);
+    const auto prog = eda::assemble_revamp(mig, sched);
     t.add_row({"Majority (ReVAMP)", std::to_string(sched.device_count),
                std::to_string(sched.delay()) + " (lb " +
                    std::to_string(sched.delay_lower_bound()) + ")",
                std::to_string(sched.device_count * sched.delay()),
-               eda::verify_revamp(mig, sched) ? "yes" : "NO"});
+               eda::verify_revamp(prog, mig) ? "yes" : "NO"});
   }
   {
     const auto nor = aig.to_netlist().to_nor_only();

@@ -38,7 +38,9 @@ struct FlowReport {
   std::size_t devices = 0;      ///< area (cells)
   std::size_t delay = 0;        ///< steps
   double area_delay_product = 0.0;
-  bool verified = false;        ///< mapping simulated == specification
+  /// The compiled program (for Majority: the assembled ReVAMP stream)
+  /// evaluates to the specification's truth tables on every input.
+  bool verified = false;
   // Static verification (the `cim-lint` pass pipeline; see
   // eda/verify/pass.hpp). Diagnostics aggregate the family linter plus the
   // wear and cost certification passes.
@@ -70,7 +72,7 @@ struct FlowReport {
 /// Options for the flow.
 struct FlowOptions {
   bool reuse_cells = true;   ///< area-constrained mapping for IMPLY/MAGIC
-  bool verify = true;        ///< exhaustively simulate each mapping
+  bool verify = true;        ///< check every program against its spec
   bool lint = true;          ///< run the static pass pipeline per program
   /// Planned lifetime evaluations for the wear-budget gate (0: report the
   /// certificate without gating).

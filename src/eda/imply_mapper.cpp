@@ -3,6 +3,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "eda/verify/wear_cost.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -191,23 +192,8 @@ std::vector<bool> execute_imply(crossbar::Crossbar& xbar,
 }
 
 bool verify_imply(const ImplyProgram& prog, const Aig& aig) {
-  const auto tts = aig.truth_tables();
-  const std::uint64_t n = 1ULL << aig.num_inputs();
-
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = 1;
-  cfg.cols = prog.num_cells;
-  cfg.tech = device::Technology::kSttMram;  // tight, binary, low-noise
-  cfg.levels = 2;
-  cfg.model_ir_drop = false;
-
-  for (std::uint64_t a = 0; a < n; ++a) {
-    crossbar::Crossbar xbar(cfg);
-    const auto out = execute_imply(xbar, prog, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
-  }
-  return true;
+  const auto out = verify::evaluate(prog);
+  return out && *out == aig.truth_tables();
 }
 
 }  // namespace cim::eda

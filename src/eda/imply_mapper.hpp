@@ -58,8 +58,8 @@ std::vector<bool> execute_imply(crossbar::Crossbar& xbar,
                                 const ImplyProgram& prog,
                                 std::uint64_t assignment, std::size_t row = 0);
 
-/// Exhaustively executes the program on a fresh ideal crossbar and compares
-/// with the AIG's truth tables.
+/// Functional check against the AIG: one symbolic walk (verify::evaluate)
+/// must be faithful and reproduce every output's truth table.
 bool verify_imply(const ImplyProgram& prog, const Aig& aig);
 
 }  // namespace cim::eda

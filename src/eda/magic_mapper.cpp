@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "eda/verify/wear_cost.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -148,23 +149,8 @@ std::vector<bool> execute_magic(crossbar::Crossbar& xbar,
 }
 
 bool verify_magic(const MagicProgram& prog, const Netlist& nl) {
-  const auto tts = nl.truth_tables();
-  const std::uint64_t n = 1ULL << nl.num_inputs();
-
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = 1;
-  cfg.cols = prog.num_cells;
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  cfg.model_ir_drop = false;
-
-  for (std::uint64_t a = 0; a < n; ++a) {
-    crossbar::Crossbar xbar(cfg);
-    const auto out = execute_magic(xbar, prog, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
-  }
-  return true;
+  const auto out = verify::evaluate(prog);
+  return out && *out == nl.truth_tables();
 }
 
 }  // namespace cim::eda

@@ -54,7 +54,9 @@ std::vector<bool> execute_magic(crossbar::Crossbar& xbar,
                                 const MagicProgram& prog,
                                 std::uint64_t assignment, std::size_t row = 0);
 
-/// Exhaustive verification against the netlist's truth tables.
+/// Functional check against the netlist: one symbolic walk
+/// (verify::evaluate) must be faithful and reproduce every output's truth
+/// table.
 bool verify_magic(const MagicProgram& prog, const Netlist& nor_netlist);
 
 }  // namespace cim::eda

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "eda/verify/wear_cost.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -262,25 +263,9 @@ std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
   return out;
 }
 
-bool verify_revamp_program(const Mig& mig, const MajSchedule& sched) {
-  const auto prog = assemble_revamp(mig, sched);
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = prog.wordlines;
-  cfg.cols = prog.bitlines;
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  cfg.model_ir_drop = false;
-  cfg.seed = 17;
-
-  const auto tts = mig.truth_tables();
-  const std::uint64_t n = 1ULL << mig.num_inputs();
-  for (std::uint64_t a = 0; a < n; ++a) {
-    crossbar::Crossbar xbar(cfg);
-    const auto out = execute_revamp_program(xbar, prog, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
-  }
-  return true;
+bool verify_revamp(const RevampProgram& prog, const Mig& mig) {
+  const auto out = verify::evaluate(prog);
+  return out && *out == mig.truth_tables();
 }
 
 }  // namespace cim::eda

@@ -10,7 +10,8 @@
 /// The assembler lowers a scheduled MIG (majority_mapper) into an explicit
 /// instruction stream; the executor runs the stream on the crossbar
 /// simulator, modelling the register file; the disassembler prints the
-/// program the way an ISA listing would.
+/// program the way an ISA listing would; `verify_revamp` checks the stream
+/// against the MIG without running it.
 #pragma once
 
 #include <cstddef>
@@ -76,7 +77,9 @@ std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
                                          const RevampProgram& prog,
                                          std::uint64_t assignment);
 
-/// Exhaustive check of assemble+execute against the MIG.
-bool verify_revamp_program(const Mig& mig, const MajSchedule& sched);
+/// Functional check of an assembled program against the MIG: one symbolic
+/// walk (verify::evaluate) must be faithful and reproduce every output's
+/// truth table.
+bool verify_revamp(const RevampProgram& prog, const Mig& mig);
 
 }  // namespace cim::eda

@@ -3,9 +3,10 @@
 ///        hazard-freedom of compiled IMPLY / MAGIC / ReVAMP programs without
 ///        executing them on a crossbar (Section IV / Fig. 8 tooling).
 ///
-/// The dynamic `FlowReport::verified` bit simulates a mapping exhaustively;
-/// that catches functional bugs but scales as 2^inputs and says nothing
-/// about *why* a mapping is wrong. The static verifier instead walks the
+/// The functional `FlowReport::verified` bit walks a program once with
+/// every cell held as a truth table over the inputs (`evaluate`,
+/// wear_cost.hpp); that catches functional bugs but says nothing about
+/// *why* a mapping is wrong. The static verifier instead walks the
 /// instruction stream once with an abstract cell-state lattice
 /// (cell_state.hpp) and per-family dataflow rules:
 ///

@@ -101,13 +101,25 @@ class ProbDomain {
 
 // --- per-family walkers ------------------------------------------------------
 
+/// What one walk of a program yields: the cost it charges, the value
+/// resident in every output tap, and whether the crossbar executor (on an
+/// array sized exactly to the footprint) would have run it to the end.
+template <typename V>
+struct Walk {
+  CostEstimate cost;
+  std::vector<V> outputs;
+  bool faithful = true;
+};
+
 template <typename D>
-CostEstimate cost_imply(const ImplyProgram& prog,
-                        const device::TechnologyParams& tech) {
+Walk<typename D::V> walk_imply(const ImplyProgram& prog,
+                               const device::TechnologyParams& tech) {
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
   std::vector<typename D::V> val(n, dom.constant(false));
   CostAcc acc(tech);
+  Walk<typename D::V> walk;
+  walk.faithful = prog.num_inputs <= n;
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n); ++i) {
     val[i] = dom.input(i);
     acc.write();  // executor launch: write_bit per input
@@ -115,11 +127,15 @@ CostEstimate cost_imply(const ImplyProgram& prog,
   for (const auto& ins : prog.instrs) {
     if (ins.kind == ImplyInstr::Kind::kFalse) {
       acc.write();
-      if (ins.dest < n) val[ins.dest] = dom.constant(false);
+      if (ins.dest < n)
+        val[ins.dest] = dom.constant(false);
+      else
+        walk.faithful = false;
       continue;
     }
     if (ins.dest >= n || ins.src >= n) {  // oob: the linters report it;
       acc.conditional(0.5);               // keep the pulse-window cost
+      walk.faithful = false;
       continue;
     }
     // dest' = dest -> src; switches unless dest = src = 1.
@@ -127,18 +143,24 @@ CostEstimate cost_imply(const ImplyProgram& prog,
     acc.conditional(dom.p(fire));
     val[ins.dest] = D::or_(D::not_(val[ins.dest]), val[ins.src]);
   }
-  for (const auto c : prog.output_cells)
+  for (const auto c : prog.output_cells) {
     acc.sensed_read(c < n ? dom.p(val[c]) : 0.0);
-  return acc.est;
+    walk.faithful = walk.faithful && c < n;
+    walk.outputs.push_back(c < n ? val[c] : dom.constant(false));
+  }
+  walk.cost = acc.est;
+  return walk;
 }
 
 template <typename D>
-CostEstimate cost_magic(const MagicProgram& prog,
-                        const device::TechnologyParams& tech) {
+Walk<typename D::V> walk_magic(const MagicProgram& prog,
+                               const device::TechnologyParams& tech) {
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
   std::vector<typename D::V> val(n, dom.constant(false));
   CostAcc acc(tech);
+  Walk<typename D::V> walk;
+  walk.faithful = prog.num_inputs <= n;
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n); ++i) {
     val[i] = dom.input(i);
     acc.write();
@@ -146,33 +168,52 @@ CostEstimate cost_magic(const MagicProgram& prog,
   for (const auto& ins : prog.instrs) {
     if (ins.kind == MagicInstr::Kind::kSet) {
       acc.write();
-      if (ins.out_cell < n) val[ins.out_cell] = dom.constant(true);
+      if (ins.out_cell < n)
+        val[ins.out_cell] = dom.constant(true);
+      else
+        walk.faithful = false;
       continue;
     }
-    // NOR conditionally RESETs: fires iff any input holds 1.
+    // NOR conditionally RESETs: fires iff any input holds 1, else the
+    // output keeps its value (the preceding SET makes that a 1).
     auto any = dom.constant(false);
-    for (const auto c : ins.in_cells)
-      if (c < n) any = D::or_(any, val[c]);
+    for (const auto c : ins.in_cells) {
+      if (c < n)
+        any = D::or_(any, val[c]);
+      else
+        walk.faithful = false;
+    }
     acc.conditional(dom.p(any));
-    if (ins.out_cell < n) val[ins.out_cell] = D::not_(any);
+    if (ins.out_cell < n)
+      val[ins.out_cell] = D::and_(val[ins.out_cell], D::not_(any));
+    if (ins.out_cell >= n || ins.in_cells.empty()) walk.faithful = false;
   }
   for (std::size_t k = 0; k < prog.output_cells.size(); ++k) {
-    if (k < prog.output_is_const.size() && prog.output_is_const[k]) continue;
+    if (k < prog.output_is_const.size() && prog.output_is_const[k]) {
+      walk.faithful = walk.faithful && k < prog.const_values.size();
+      walk.outputs.push_back(dom.constant(k < prog.const_values.size() &&
+                                          prog.const_values[k]));
+      continue;
+    }
     const std::size_t c = prog.output_cells[k];
     acc.sensed_read(c < n ? dom.p(val[c]) : 0.0);
+    walk.faithful = walk.faithful && c < n;
+    walk.outputs.push_back(c < n ? val[c] : dom.constant(false));
   }
-  return acc.est;
+  walk.cost = acc.est;
+  return walk;
 }
 
 template <typename D>
-CostEstimate cost_revamp(const RevampProgram& prog,
-                         const device::TechnologyParams& tech) {
+Walk<typename D::V> walk_revamp(const RevampProgram& prog,
+                                const device::TechnologyParams& tech) {
   D dom(prog.num_inputs);
   const std::size_t W = prog.wordlines;
   const std::size_t B = prog.bitlines;
   std::vector<typename D::V> val(W * B, dom.constant(false));
   std::vector<std::optional<std::vector<typename D::V>>> dmr(W);
   CostAcc acc(tech);
+  Walk<typename D::V> walk;
 
   auto resolve = [&](const RevampOperand& op) -> typename D::V {
     typename D::V v = dom.constant(false);
@@ -186,13 +227,18 @@ CostEstimate cost_revamp(const RevampProgram& prog,
       case RevampOperand::Src::kDmr:
         if (op.dmr_row < W && dmr[op.dmr_row] && op.dmr_col < B)
           v = (*dmr[op.dmr_row])[op.dmr_col];
+        else
+          walk.faithful = false;  // the executor throws: not latched
         break;
     }
     return op.complemented ? D::not_(v) : v;
   };
 
   for (const auto& ins : prog.instrs) {
-    if (ins.wordline >= W) continue;  // oob: the linter reports it
+    if (ins.wordline >= W) {  // oob: the linter reports it
+      walk.faithful = false;
+      continue;
+    }
     if (ins.kind == RevampInstruction::Kind::kRead) {
       std::vector<typename D::V> word;
       word.reserve(B);
@@ -204,8 +250,12 @@ CostEstimate cost_revamp(const RevampProgram& prog,
       continue;
     }
     const auto w = resolve(ins.wl);
-    for (std::size_t c = 0; c < std::min(ins.columns.size(), B); ++c) {
+    for (std::size_t c = 0; c < ins.columns.size(); ++c) {
       if (!ins.columns[c]) continue;
+      if (c >= B) {
+        walk.faithful = false;
+        break;
+      }
       const auto b = resolve(*ins.columns[c]);  // v_bl; the cell sees !v_bl
       auto& s = val[ins.wordline * B + c];
       const auto nb = D::not_(b);
@@ -218,18 +268,30 @@ CostEstimate cost_revamp(const RevampProgram& prog,
     }
   }
   // Output taps resolve from DMR/PIR/constants — nothing charged.
-  return acc.est;
+  for (const auto& o : prog.outputs) walk.outputs.push_back(resolve(o));
+  walk.cost = acc.est;
+  return walk;
 }
 
 template <typename WalkFn, typename ProbWalkFn>
 CostEstimate dispatch(std::size_t num_inputs, WalkFn&& exact,
                       ProbWalkFn&& approx) {
   if (num_inputs <= kExactCostInputCap) {
-    auto est = exact();
+    auto est = exact().cost;
     est.exact_expectation = true;
     return est;
   }
-  return approx();
+  return approx().cost;
+}
+
+/// The exact walk's output taps, or nullopt when the run is not faithful.
+template <typename Prog, typename WalkFn>
+std::optional<std::vector<TruthTable>> evaluate_with(const Prog& prog,
+                                                     WalkFn&& walk) {
+  // The cost the walk charges is discarded; any technology serves.
+  auto w = walk(prog, device::technology_params(device::Technology::kSttMram));
+  if (!w.faithful) return std::nullopt;
+  return std::move(w.outputs);
 }
 
 }  // namespace
@@ -237,22 +299,34 @@ CostEstimate dispatch(std::size_t num_inputs, WalkFn&& exact,
 CostEstimate estimate_cost(const ImplyProgram& prog,
                            const device::TechnologyParams& tech) {
   return dispatch(
-      prog.num_inputs, [&] { return cost_imply<TtDomain>(prog, tech); },
-      [&] { return cost_imply<ProbDomain>(prog, tech); });
+      prog.num_inputs, [&] { return walk_imply<TtDomain>(prog, tech); },
+      [&] { return walk_imply<ProbDomain>(prog, tech); });
 }
 
 CostEstimate estimate_cost(const MagicProgram& prog,
                            const device::TechnologyParams& tech) {
   return dispatch(
-      prog.num_inputs, [&] { return cost_magic<TtDomain>(prog, tech); },
-      [&] { return cost_magic<ProbDomain>(prog, tech); });
+      prog.num_inputs, [&] { return walk_magic<TtDomain>(prog, tech); },
+      [&] { return walk_magic<ProbDomain>(prog, tech); });
 }
 
 CostEstimate estimate_cost(const RevampProgram& prog,
                            const device::TechnologyParams& tech) {
   return dispatch(
-      prog.num_inputs, [&] { return cost_revamp<TtDomain>(prog, tech); },
-      [&] { return cost_revamp<ProbDomain>(prog, tech); });
+      prog.num_inputs, [&] { return walk_revamp<TtDomain>(prog, tech); },
+      [&] { return walk_revamp<ProbDomain>(prog, tech); });
+}
+
+std::optional<std::vector<TruthTable>> evaluate(const ImplyProgram& prog) {
+  return evaluate_with(prog, walk_imply<TtDomain>);
+}
+
+std::optional<std::vector<TruthTable>> evaluate(const MagicProgram& prog) {
+  return evaluate_with(prog, walk_magic<TtDomain>);
+}
+
+std::optional<std::vector<TruthTable>> evaluate(const RevampProgram& prog) {
+  return evaluate_with(prog, walk_revamp<TtDomain>);
 }
 
 void certify_cost(const CostEstimate& cost, const CostBudget& budget,

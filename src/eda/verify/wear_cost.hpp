@@ -1,8 +1,20 @@
 /// \file wear_cost.hpp
-/// \brief Static wear & cost certification of compiled micro-op programs
-///        (`cim::eda::verify`).
+/// \brief Static wear & cost certification of compiled micro-op programs,
+///        and the symbolic evaluation that decides their functional
+///        correctness (`cim::eda::verify`).
 ///
-/// Two certificates, both derived without touching a crossbar:
+/// Three results, all derived without touching a crossbar:
+///
+/// **Function.** `evaluate` walks a program once with each cell's resident
+/// value held as a `TruthTable` over the program inputs (64 assignments per
+/// machine word), and returns every output tap's truth table. The walk also
+/// decides whether the run is *faithful*: on an array sized exactly to the
+/// program footprint, the crossbar executor would finish without throwing
+/// (no cell or wordline outside the footprint, no MAGIC NOR without
+/// inputs, no ReVAMP operand reading an unlatched DMR row or column).
+/// `verify_imply`, `verify_magic` and `verify_revamp` are "faithful and
+/// every output equals the source IR's truth table" — one walk per
+/// program instead of one crossbar execution per input assignment.
 ///
 /// **Wear.** `certify_wear` turns a `ProgramAccess` write-bound map into a
 /// per-cell lifetime statement against the `device::Technology` endurance:
@@ -33,8 +45,7 @@
 /// conditional ops fire, so the estimate carries a hard [min, max] bracket
 /// (no-fire/g_off vs. all-fire/g_on) plus an expectation over uniformly
 /// distributed inputs. Up to `kExactCostInputCap` inputs the expectation is
-/// computed *exactly* by symbolic evaluation — each cell's resident value
-/// is tracked as a `TruthTable` over the program inputs, and fire
+/// computed *exactly* by the same symbolic walk `evaluate` runs — fire
 /// probabilities are minterm counts, not independence approximations; past
 /// the cap a per-cell probability propagation takes over. Stochastic write
 /// variation and read noise are zero-mean, so measured energy converges to
@@ -43,10 +54,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "device/technology.hpp"
+#include "eda/truth_table.hpp"
 #include "eda/verify/access.hpp"
 #include "eda/verify/diagnostics.hpp"
 #include "eda/verify/verify.hpp"
@@ -75,6 +88,13 @@ CostEstimate estimate_cost(const MagicProgram& prog,
                            const device::TechnologyParams& tech);
 CostEstimate estimate_cost(const RevampProgram& prog,
                            const device::TechnologyParams& tech);
+
+/// Every output tap's value as a truth table over the program inputs, or
+/// nullopt when the run is not faithful (see the file comment). Throws
+/// std::invalid_argument past 16 inputs, the `TruthTable` limit.
+std::optional<std::vector<TruthTable>> evaluate(const ImplyProgram& prog);
+std::optional<std::vector<TruthTable>> evaluate(const MagicProgram& prog);
+std::optional<std::vector<TruthTable>> evaluate(const RevampProgram& prog);
 
 /// Per-execution budget for `certify_cost` (0 = unconstrained dimension).
 struct CostBudget {

@@ -225,7 +225,6 @@ ServeReport Controller::run(std::span<const Request> requests,
     }
     return s;
   };
-  auto service_ns = [&](int bits) { return service_parts(bits).total_ns; };
 
   auto route = [&](double now) -> std::size_t {
     switch (cfg_.routing) {

@@ -3,11 +3,27 @@
 #include <gtest/gtest.h>
 
 #include "eda/bench_circuits.hpp"
+#include "eda/revamp_isa.hpp"
+#include "util/rng.hpp"
 
 namespace cim::eda {
 namespace {
 
 Mig from_bench(const Netlist& nl) { return Mig::from_aig(Aig::from_netlist(nl)); }
+
+bool verifies(const Mig& mig, const MajSchedule& sched) {
+  return verify_revamp(assemble_revamp(mig, sched), mig);
+}
+
+crossbar::CrossbarConfig array_for(const RevampProgram& prog) {
+  crossbar::CrossbarConfig cfg;
+  cfg.rows = prog.wordlines;
+  cfg.cols = prog.bitlines;
+  cfg.tech = device::Technology::kSttMram;
+  cfg.levels = 2;
+  cfg.model_ir_drop = false;
+  return cfg;
+}
 
 TEST(MajorityMapper, SingleMajNode) {
   Mig mig;
@@ -18,7 +34,7 @@ TEST(MajorityMapper, SingleMajNode) {
   const auto sched = schedule_revamp(mig);
   EXPECT_EQ(sched.num_levels, 1u);
   EXPECT_EQ(sched.device_count, 1u);
-  EXPECT_TRUE(verify_revamp(mig, sched));
+  EXPECT_TRUE(verifies(mig, sched));
 }
 
 TEST(MajorityMapper, ConstantAndInputOutputs) {
@@ -28,7 +44,7 @@ TEST(MajorityMapper, ConstantAndInputOutputs) {
   mig.mark_output(a);
   mig.mark_output(Mig::lnot(a));
   const auto sched = schedule_revamp(mig);
-  EXPECT_TRUE(verify_revamp(mig, sched));
+  EXPECT_TRUE(verifies(mig, sched));
 }
 
 class MajoritySuite : public ::testing::TestWithParam<std::size_t> {};
@@ -36,15 +52,15 @@ class MajoritySuite : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(MajoritySuite, BenchmarkCircuitVerifies) {
   const auto suite = standard_suite();
   const auto& bc = suite[GetParam()];
-  if (bc.netlist.num_inputs() > 9) GTEST_SKIP() << "exhaustive check too large";
   const auto mig = from_bench(bc.netlist);
   const auto sched = schedule_revamp(mig);
-  EXPECT_TRUE(verify_revamp(mig, sched)) << bc.name;
+  EXPECT_TRUE(verifies(mig, sched)) << bc.name;
   EXPECT_EQ(sched.device_count, mig.num_majs());
 }
 
+// The whole standard_suite(): 15 circuits, at most 11 inputs (mux8).
 INSTANTIATE_TEST_SUITE_P(Circuits, MajoritySuite,
-                         ::testing::Range<std::size_t>(0, 12));
+                         ::testing::Range<std::size_t>(0, 15));
 
 TEST(MajorityMapper, DelayRespectsLowerBound) {
   // [67]: delay-optimal mapping achieves MIG levels + 1 with unconstrained
@@ -82,40 +98,45 @@ TEST(MajorityMapper, PlanCoversEveryMajNode) {
 
 class MajorityOnCrossbar : public ::testing::TestWithParam<std::size_t> {};
 
+// The assembled program on a physical array: 32 seeded assignments per
+// circuit, each on a fresh array, against the MIG's truth tables.
 TEST_P(MajorityOnCrossbar, HardwareExecutionVerifies) {
   const auto suite = standard_suite();
   const auto& bc = suite[GetParam()];
-  if (bc.netlist.num_inputs() > 8) GTEST_SKIP() << "exhaustive check too large";
   const auto mig = from_bench(bc.netlist);
-  const auto sched = schedule_revamp(mig);
-  EXPECT_TRUE(verify_revamp_on_crossbar(mig, sched)) << bc.name;
+  const auto prog = assemble_revamp(mig, schedule_revamp(mig));
+  const auto tts = mig.truth_tables();
+  util::Rng rng(GetParam());
+  for (int k = 0; k < 32; ++k) {
+    const std::uint64_t a = rng.uniform_int(tts.front().size());
+    crossbar::Crossbar xbar(array_for(prog));
+    const auto out = execute_revamp_program(xbar, prog, a);
+    ASSERT_EQ(out.size(), tts.size());
+    for (std::size_t o = 0; o < tts.size(); ++o)
+      EXPECT_EQ(out[o], tts[o].get(a)) << bc.name << " a=" << a << " o=" << o;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, MajorityOnCrossbar,
-                         ::testing::Values(0, 1, 2, 4, 6, 9));
+                         ::testing::Range<std::size_t>(0, 15));
 
 TEST(MajorityOnCrossbar, TooSmallArrayThrows) {
   const auto mig = from_bench(ripple_carry_adder(2));
-  const auto sched = schedule_revamp(mig);
+  const auto prog = assemble_revamp(mig, schedule_revamp(mig));
   crossbar::CrossbarConfig cfg;
   cfg.rows = 1;
   cfg.cols = 1;
   crossbar::Crossbar xbar(cfg);
-  EXPECT_THROW((void)execute_revamp_on_crossbar(xbar, mig, sched, 0),
+  EXPECT_THROW((void)execute_revamp_program(xbar, prog, 0),
                std::invalid_argument);
 }
 
 TEST(MajorityOnCrossbar, ChargesDeviceOperations) {
   const auto mig = from_bench(parity(3));
-  const auto sched = schedule_revamp(mig);
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = std::max<std::size_t>(1, sched.rows);
-  cfg.cols = std::max<std::size_t>(1, sched.max_row_width);
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  crossbar::Crossbar xbar(cfg);
-  (void)execute_revamp_on_crossbar(xbar, mig, sched, 5);
-  // Three device writes per node (RESET, INIT, APPLY).
+  const auto prog = assemble_revamp(mig, schedule_revamp(mig));
+  crossbar::Crossbar xbar(array_for(prog));
+  (void)execute_revamp_program(xbar, prog, 5);
+  // Three device writes per node (RESET, PRELOAD, MAJ apply).
   EXPECT_EQ(xbar.stats().logic_ops, 3 * mig.num_majs());
   EXPECT_GT(xbar.stats().energy_pj, 0.0);
 }

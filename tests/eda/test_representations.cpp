@@ -11,6 +11,7 @@
 #include "eda/magic_mapper.hpp"
 #include "eda/majority_mapper.hpp"
 #include "eda/mig.hpp"
+#include "eda/revamp_isa.hpp"
 #include "util/rng.hpp"
 
 namespace cim::eda {
@@ -50,10 +51,20 @@ TEST_P(CrossRepresentation, AllMappingPathsAgree) {
 
   // IMPLY path.
   EXPECT_TRUE(verify_imply(compile_imply(aig, true), aig));
-  // Majority path (functional and on-crossbar).
-  const auto sched = schedule_revamp(mig);
-  EXPECT_TRUE(verify_revamp(mig, sched));
-  EXPECT_TRUE(verify_revamp_on_crossbar(mig, sched));
+  // Majority path: the assembled ReVAMP program, verified and then run on a
+  // crossbar for every assignment.
+  const auto prog = assemble_revamp(mig, schedule_revamp(mig));
+  EXPECT_TRUE(verify_revamp(prog, mig));
+  crossbar::CrossbarConfig cfg;
+  cfg.rows = prog.wordlines;
+  cfg.cols = prog.bitlines;
+  cfg.tech = device::Technology::kSttMram;
+  cfg.levels = 2;
+  cfg.model_ir_drop = false;
+  for (std::uint64_t a = 0; a < tt.size(); ++a) {
+    crossbar::Crossbar xbar(cfg);
+    EXPECT_EQ(execute_revamp_program(xbar, prog, a).at(0), tt.get(a)) << a;
+  }
   // MAGIC path.
   const auto nor = aig.to_netlist().to_nor_only();
   EXPECT_TRUE(verify_magic(compile_magic(nor, true), nor));

@@ -101,7 +101,9 @@ TEST_F(MetricsTest, SnapshotIsSortedAndDeterministic) {
   ASSERT_EQ(s1.counters.size(), s2.counters.size());
   for (std::size_t i = 0; i < s1.counters.size(); ++i) {
     EXPECT_EQ(s1.counters[i], s2.counters[i]);
-    if (i > 0) EXPECT_LT(s1.counters[i - 1].first, s1.counters[i].first);
+    if (i > 0) {
+      EXPECT_LT(s1.counters[i - 1].first, s1.counters[i].first);
+    }
   }
   // Snapshot carries build metadata for self-describing exports.
   EXPECT_FALSE(s1.meta.git_sha.empty());

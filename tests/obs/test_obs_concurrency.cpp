@@ -64,11 +64,17 @@ TEST_F(ObsConcurrencyTest, RegistryMetricsSafeUnderConcurrentUse) {
   });
   const Snapshot s = snapshot();
   for (const auto& [name, v] : s.counters)
-    if (name == "obs_test.concurrent_counter") EXPECT_EQ(v, kIters);
+    if (name == "obs_test.concurrent_counter") {
+      EXPECT_EQ(v, kIters);
+    }
   for (const auto& h : s.histograms)
-    if (h.name == "obs_test.concurrent_hist") EXPECT_EQ(h.data.count, kIters);
+    if (h.name == "obs_test.concurrent_hist") {
+      EXPECT_EQ(h.data.count, kIters);
+    }
   for (const auto& row : s.spans)
-    if (row.name == "obs_test.concurrent_span") EXPECT_EQ(row.count, kIters);
+    if (row.name == "obs_test.concurrent_span") {
+      EXPECT_EQ(row.count, kIters);
+    }
   for (const auto& row : s.components)
     if (row.comp == Component::kAdc) {
       EXPECT_GE(row.events, kIters);
@@ -87,7 +93,9 @@ TEST_F(ObsConcurrencyTest, TraceModeEventCaptureSafeAcrossThreads) {
   // Snapshots may run while other pools are still alive elsewhere; here the
   // pool has quiesced, so the count is exact.
   for (const auto& row : snapshot().spans)
-    if (row.name == "obs_test.traced_span") EXPECT_EQ(row.count, kIters);
+    if (row.name == "obs_test.traced_span") {
+      EXPECT_EQ(row.count, kIters);
+    }
 }
 
 }  // namespace

@@ -250,7 +250,9 @@ TEST(SnapshotMerge, AbsorbIntoLiveRegistry) {
   EXPECT_EQ(stale.gauges_taken, 0u);
   const Snapshot after = reg.snapshot();
   for (const auto& [name, v] : after.gauges)
-    if (name == "exp.eta_s") EXPECT_DOUBLE_EQ(v, 77.0);
+    if (name == "exp.eta_s") {
+      EXPECT_DOUBLE_EQ(v, 77.0);
+    }
   reg.reset();
 }
 

@@ -53,7 +53,9 @@ TEST_F(SpanTest, DisabledModeRecordsNothing) {
   }
   set_mode(Mode::kMetrics);
   for (const auto& row : snapshot().spans)
-    if (row.name == "test.span.disabled") EXPECT_EQ(row.count, 0u);
+    if (row.name == "test.span.disabled") {
+      EXPECT_EQ(row.count, 0u);
+    }
 }
 
 TEST_F(SpanTest, AttributeFeedsBreakdown) {
@@ -117,7 +119,9 @@ TEST_F(SpanTest, CrossbarVmmRecordsSpanAndArrayAttribution) {
   EXPECT_TRUE(counter_found);
   // charge() attributed the read to the array component.
   for (const auto& row : s.components)
-    if (row.comp == Component::kArray) EXPECT_GT(row.events, 0u);
+    if (row.comp == Component::kArray) {
+      EXPECT_GT(row.events, 0u);
+    }
 }
 
 TEST_F(SpanTest, ThreadPoolReportsUtilization) {

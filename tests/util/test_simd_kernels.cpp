@@ -81,8 +81,9 @@ TEST(SimdDispatch, TableForClampsToSupported) {
     ASSERT_NE(t.gemm_accumulate, nullptr);
     ASSERT_NE(t.vmm, nullptr);
     EXPECT_LE(static_cast<int>(t.isa), static_cast<int>(max));
-    if (static_cast<int>(req) <= static_cast<int>(max))
+    if (static_cast<int>(req) <= static_cast<int>(max)) {
       EXPECT_EQ(t.isa, req);  // supported requests are honoured exactly
+    }
   }
 }
 
