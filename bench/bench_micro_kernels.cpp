@@ -3,7 +3,8 @@
 ///        runtime-dispatched ISA variant (scalar / avx2 / avx512) of the
 ///        util::kernels hot loops — dot, axpy, gemm_accumulate and the
 ///        whole-array crossbar vmm — across sizes, reporting GB/s and
-///        speedup vs the portable scalar table, and ends with the
+///        speedup vs the portable scalar table, then the ns/draw of the
+///        util::Rng normal and lognormal samplers, and ends with the
 ///        standard BENCH_JSON line (per-variant extras) scraped into
 ///        BENCH_PR<N>.json by scripts/collect_bench.sh.
 ///
@@ -258,6 +259,49 @@ int run_isa_sweep() {
     t.print(std::cout);
   }
 
+  // Host samplers on the simulator's hot paths, next to the kernels above:
+  // the tier-0 read-noise loop (one normal per column, scaled by the
+  // column's noise std, as in Crossbar::vmm) over a 128-column array, and
+  // the per-write lognormal programming spread. Neither is dispatched, so
+  // one figure covers every table.
+  const auto ns_per_draw = [](std::size_t draws, int reps, auto&& body) {
+    body();  // warm-up
+    return time_reps(reps, body) * 1e9 / static_cast<double>(draws);
+  };
+  constexpr std::size_t kCols = 128;
+  util::Rng rng(13);
+  std::vector<double> col_std(kCols), col_out(kCols, 0.0);
+  for (std::size_t c = 0; c < kCols; ++c)
+    col_std[c] = 1e-3 * static_cast<double>(1 + c % 7);
+  const double normal_ns = ns_per_draw(kCols, 8192, [&] {
+    for (std::size_t c = 0; c < kCols; ++c)
+      col_out[c] += rng.normal(0.0, col_std[c]);
+    checksum_sink += col_out[kCols / 2];
+  });
+  const double lognormal_ns = ns_per_draw(kCols, 8192, [&] {
+    for (std::size_t c = 0; c < kCols; ++c)
+      col_out[c] = rng.lognormal(0.0, 0.05);
+    checksum_sink += col_out[kCols / 2];
+  });
+  {
+    // The 128x128 vmm on the best table, for scale: one tier-0 read of a
+    // 128-column array is this call plus 128 normal draws.
+    double vmm128_us = 0.0;
+    for (const auto& r : results)
+      if (r.kernel == "vmm" && r.n == 128 * 128)
+        vmm128_us = r.sec.back() * 1e6;
+    util::Table t({"per 128-column read", "ns/draw", "us"});
+    t.set_title("util::Rng samplers next to the vmm kernel");
+    t.add_row({"normal (read noise)", util::Table::num(normal_ns, 2),
+               util::Table::num(normal_ns * kCols / 1e3, 3)});
+    t.add_row({"lognormal (write spread)", util::Table::num(lognormal_ns, 2),
+               util::Table::num(lognormal_ns * kCols / 1e3, 3)});
+    t.add_row({std::string("vmm 128x128 (") +
+                   util::simd::isa_name(isas.back()) + ")",
+               "-", util::Table::num(vmm128_us, 3)});
+    t.print(std::cout);
+  }
+
   // BENCH_JSON extras: per-kernel GB/s for every variant plus speedup vs
   // scalar, taken at each kernel's peak-speedup size across the sweep
   // (the table above records every size).
@@ -286,6 +330,9 @@ int run_isa_sweep() {
                             best->sec[0] / best->sec[i]);
     }
   }
+
+  extras.emplace_back("normal_ns_per_draw", normal_ns);
+  extras.emplace_back("lognormal_ns_per_draw", lognormal_ns);
 
   obs::emit_bench_json("bench_micro_kernels", total.elapsed_ms(), ops, extras);
   return checksum_sink == 12345.6789 ? 1 : 0;  // keep the sink observable

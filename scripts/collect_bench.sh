@@ -95,6 +95,8 @@ OPTIONAL = {
       for isa in ("scalar", "avx2", "avx512")),
     *(f"{k}_speedup_{isa}" for k in ("dot", "axpy", "vmm", "gemm")
       for isa in ("avx2", "avx512")),
+    # util::Rng sampler cost (bench_micro_kernels), one figure for all ISAs.
+    "normal_ns_per_draw", "lognormal_ns_per_draw",
 }
 
 name = sys.argv[1]

@@ -515,9 +515,8 @@ void Crossbar::vmm_calibrated(std::span<const double> v_rows,
   const double scale = calibrated_scale_and_energy(v_rows, energy);
   if (scale > 0.0) {
     // One serial generator advance keys the whole draw; each column's
-    // noise is then a pure counter hash against the cached column std —
-    // an order of magnitude cheaper than four xoshiro steps plus a sqrt
-    // per column, with the same Irwin-Hall-4 distribution.
+    // noise is then a pure counter hash against the cached column std,
+    // with no sqrt and no generator state per column.
     const std::uint64_t key = rng_();
     for (std::size_t c = 0; c < cfg_.cols; ++c)
       currents[c] +=

@@ -38,7 +38,16 @@ double dot_avx512(const double* a, const double* b, std::size_t n) {
                            acc0);
   const __m512d sum =
       _mm512_add_pd(_mm512_add_pd(acc0, acc1), _mm512_add_pd(acc2, acc3));
-  double r = _mm512_reduce_add_pd(sum);
+  // _mm512_reduce_add_pd's halving order (256-bit halves, 128-bit halves,
+  // then the two lanes), written out: in GCC 12 the intrinsic, the plain
+  // 256-bit extract and _mm512_castpd512_pd256 all pass an uninitialized
+  // vector as the merge source and trip -Wuninitialized. The zero-masked
+  // extract with a full mask has a defined merge source and the same value.
+  const __m256d s4 = _mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xF, sum, 1),
+                                   _mm512_maskz_extractf64x4_pd(0xF, sum, 0));
+  const __m128d s2 = _mm_add_pd(_mm256_extractf128_pd(s4, 1),
+                                _mm256_castpd256_pd128(s4));
+  double r = _mm_cvtsd_f64(s2) + _mm_cvtsd_f64(_mm_unpackhi_pd(s2, s2));
   for (; i < n; ++i) r += a[i] * b[i];
   return r;
 }

@@ -8,6 +8,7 @@
 /// reproducible from a single seed.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -27,7 +28,7 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  /// Next raw 64-bit output.
+  /// Next raw 64-bit output (inline: normal()'s fast path is one of these).
   std::uint64_t operator()();
 
   /// Uniform double in [0, 1).
@@ -39,32 +40,25 @@ class Rng {
   /// Uniform integer in [0, n) for n > 0.
   std::uint64_t uniform_int(std::uint64_t n);
 
-  /// Standard normal via Box-Muller (cached second variate).
+  /// Exact standard normal: Marsaglia-Tsang ziggurat with 256 layers (see
+  /// the definition below). The only normal sampler of the generator; read
+  /// noise, lognormal write variation and every other Gaussian draw go
+  /// through it.
   double normal();
 
   /// Normal with given mean and standard deviation.
-  double normal(double mean, double stddev);
-
-  /// Cheap moment-matched approximate standard normal: the sum of four
-  /// uniforms, shifted and scaled to mean 0 / variance 1 (Irwin-Hall CLT).
-  /// Exact first and second moments, support limited to ±2*sqrt(3) sigma —
-  /// ~4-6x cheaper than Box-Muller (no log/sqrt/trig). Used by calibrated
-  /// fast paths where the consumer is validated statistically, not
-  /// tail-by-tail (crossbar FidelityTier::kCalibrated).
-  double normal_approx();
-
-  /// Approximate normal with given mean and standard deviation.
-  double normal_approx(double mean, double stddev);
+  double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
   /// Counter-based approximate standard normal: a pure function of
-  /// (key, ctr), so N draws need only ONE generator advance for the key —
-  /// the per-draw cost is a single SplitMix64 finalizer instead of four
-  /// xoshiro steps. The mixed 64-bit word is split into four 16-bit lanes
-  /// and summed (Irwin-Hall n = 4, same shape as normal_approx()); the
-  /// result is moment-matched to N(0, 1) up to the 2^-32 lattice-variance
-  /// deficit (std = sqrt(1 - 2^-32)). Support ±2*sqrt(3) sigma. Distinct
-  /// ctr values give independent draws (full-avalanche mix). Inline by
-  /// design: hot tier-1 crossbar paths draw this per column.
+  /// (key, ctr), so N draws need only ONE generator advance for the key and
+  /// the per-draw cost is a single SplitMix64 finalizer. Unlike normal(),
+  /// it is not exact: the mixed 64-bit word is split into four 16-bit lanes
+  /// and summed (Irwin-Hall n = 4), which matches N(0, 1) in mean and
+  /// variance up to the 2^-32 lattice-variance deficit
+  /// (std = sqrt(1 - 2^-32)) but has support ±2*sqrt(3) sigma only.
+  /// Distinct ctr values give independent draws (full-avalanche mix).
+  /// Inline by design: tier-1 (calibrated) crossbar reads, serial and
+  /// batched, draw this per column and rely on its order-free determinism.
   static double normal_hash(std::uint64_t key, std::uint64_t ctr) {
     std::uint64_t z = key + (ctr + 1) * 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -142,9 +136,58 @@ class Rng {
   static Rng stream2(std::uint64_t seed, std::uint64_t hi, std::uint64_t lo);
 
  private:
+  /// Rare branches of normal() for a candidate `x` that fell outside the
+  /// next layer's width: the tail beyond R for layer 0, otherwise the wedge
+  /// test of `layer`, which restarts normal() on rejection.
+  double normal_slow(unsigned layer, double x);
+
   std::uint64_t s_[4];
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
 };
+
+namespace detail {
+/// Ziggurat tables for normal() (literal data in rng.cpp; nothing runs at
+/// static init and no bit depends on libm). For f(x) = exp(-x^2/2), R the
+/// tail start and V the common layer area:
+///   kZigX[0] = V / f(R), kZigX[1] = R,
+///   kZigX[i+1] = f^-1(f(kZigX[i]) + V / kZigX[i]) for 1 <= i < 255,
+///   kZigX[256] = 0, and kZigF[i] = f(kZigX[i]).
+/// tests/util/test_rng_equivalence.cpp regenerates both from R.
+inline constexpr double kZigR = 0x1.d3bb48209ad33p+1;  // 3.6541528853610088
+extern const double kZigX[257];
+extern const double kZigF[257];
+}  // namespace detail
+
+inline std::uint64_t Rng::operator()() {
+  const auto rotl = [](std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  };
+  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+/// One xoshiro256++ output per accepted draw on the fast path (~99% of
+/// draws): the low 8 bits pick the layer, the top 52 bits give a signed
+/// uniform u in (-1, 1), exactly symmetric about 0, and x = u * kZigX[layer]
+/// is returned when it lies inside the next layer's width. No libm call and
+/// no SIMD dispatch on this path, so the stream is identical on every
+/// CIM_SIMD table; libm (exp/log) runs only in normal_slow().
+inline double Rng::normal() {
+  const std::uint64_t bits = (*this)();
+  const unsigned layer = static_cast<unsigned>(bits & 0xff);
+  const double u =
+      (static_cast<double>(static_cast<std::int64_t>(bits) >> 12) + 0.5) *
+      0x1.0p-51;
+  const double x = u * detail::kZigX[layer];
+  if (std::fabs(x) < detail::kZigX[layer + 1]) [[likely]]
+    return x;
+  return normal_slow(layer, x);
+}
 
 }  // namespace cim::util

@@ -12,8 +12,10 @@
 //   - set_isa / table_for clamp unsupported requests downward.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/kernels.hpp"
@@ -121,6 +123,26 @@ TEST(SimdKernels, DotMatchesScalarWithinUlps) {
         EXPECT_EQ(got, t.dot(a.data() + off, b.data() + off, n));
       }
     }
+  }
+}
+
+TEST(SimdKernels, Avx512DotBitsArePinned) {
+  // The AVX-512 horizontal sum is written out by hand in the order of
+  // _mm512_reduce_add_pd; these are the bits the intrinsic returned.
+  if (simd::max_supported_isa() < simd::Isa::kAvx512)
+    GTEST_SKIP() << "AVX-512 table not available on this host";
+  const auto& t = simd::table_for(simd::Isa::kAvx512);
+  const std::pair<std::size_t, std::uint64_t> pinned[] = {
+      {8, 0x401248f6f17d6620ULL},   {9, 0xc04a8dcc61f45a77ULL},
+      {31, 0xc06e301d4dd77cf2ULL},  {32, 0xc06cd8fad175b7d5ULL},
+      {33, 0xc06c8db6d2f447b9ULL},  {40, 0xc06a682f3e3c01f2ULL},
+      {64, 0xc0570e6c7569134cULL},  {100, 0xc06581e3a2992f17ULL},
+      {257, 0xc07ab588dafb7cb1ULL}};
+  for (const auto& [n, bits] : pinned) {
+    const auto a = make_vec(n, 11);
+    const auto b = make_vec(n, 23);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(t.dot(a.data(), b.data(), n)), bits)
+        << "n=" << n;
   }
 }
 
