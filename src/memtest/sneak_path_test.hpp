@@ -9,7 +9,8 @@
 ///
 /// The test programs a known background, probes a sparse grid of cells and
 /// compares each measured current (target + sneak loops within the biasing
-/// window) against the fault-free reference. A deviation flags the probe's
+/// window) against the fault-free reference. A deviating ROD is rewritten
+/// and probed again; a deviation that survives the rewrite flags the probe's
 /// region of detection (ROD). Fewer probes than cells -> parallel speedup;
 /// resolution is the ROD, not the cell.
 #pragma once
@@ -43,14 +44,16 @@ struct FlaggedRegion {
 /// Result of a sneak-path test run.
 struct SneakTestResult {
   std::vector<FlaggedRegion> flagged;
-  std::size_t probes = 0;
-  std::size_t setup_writes = 0;
+  std::size_t probes = 0;       ///< grid probes (re-probes not counted)
+  std::size_t retests = 0;      ///< deviating RODs rewritten and re-probed
+  std::size_t setup_writes = 0; ///< background writes, rewrites included
   double time_ns = 0.0;
   double energy_pj = 0.0;
 };
 
 /// Runs the test: programs the background, probes a stride-`window` grid,
-/// flags RODs whose current deviates beyond the threshold.
+/// flags RODs whose current deviates beyond the threshold before and after
+/// one rewrite of the ROD's background.
 SneakTestResult run_sneak_path_test(crossbar::Crossbar& xbar,
                                     const SneakTestConfig& cfg = {});
 
